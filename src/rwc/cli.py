@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import argparse
 import os
+import secrets
 import sys
 from collections import Counter
 from dataclasses import dataclass
 
 from .harness import (
+    ACCEPTANCE_SEED,
+    ScoreReport,
     eta_source,
     gen_bytes,
     gen_iid,
     gen_markov,
     evaluate,
-    score,
     two_state_chain,
 )
 from .model import (
@@ -34,8 +36,6 @@ from .model import (
 from .rewind import HintsFile, encode_document, render_trace, run_trace
 from .selector import ALPHA_DEFAULT_TOL, SelectorParams, marginal_f, solve_alpha
 
-DEFAULT_SEED = 0xDEADBEEF
-
 
 @dataclass(frozen=True)
 class Config:
@@ -45,7 +45,7 @@ class Config:
     smoothing: float = 0.1
     alpha_tol: float = ALPHA_DEFAULT_TOL
     include_model: bool = False
-    seed: int = DEFAULT_SEED
+    seed: int = ACCEPTANCE_SEED
 
     @classmethod
     def from_env(cls) -> "Config":
@@ -67,10 +67,18 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _write_atomic(path: str, data: bytes) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    """Write `data` to a new, uniquely named file beside `path`, then rename it
+    over `path`. The temp file is created exclusively, so no existing file is
+    truncated, and it is removed if the write or the rename fails."""
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load_model(path: str):
@@ -135,7 +143,7 @@ def cmd_score(args) -> int:
     model_bytes = args.model_bytes
     if model_bytes is None and args.model is not None:
         model_bytes = len(_read_bytes(args.model))
-    report = score(
+    report = ScoreReport(
         hint_bytes=hint_bytes,
         errors=args.errors,
         model_bytes=model_bytes,

@@ -81,24 +81,6 @@ class ScoreReport:
         return out
 
 
-def score(
-    hint_bytes: int,
-    errors: int,
-    model_bytes: int | None = None,
-    include_model: bool = False,
-    kept: int = 0,
-    skipped: int = 0,
-) -> ScoreReport:
-    return ScoreReport(
-        hint_bytes=hint_bytes,
-        errors=errors,
-        kept=kept,
-        skipped=skipped,
-        model_bytes=model_bytes,
-        include_model=include_model,
-    )
-
-
 def evaluate(
     model: ContextModel,
     params: SelectorParams,
@@ -115,7 +97,7 @@ def evaluate(
             f"decoder made {trace.errors} errors but encoder skipped {report.skipped}"
         )
     return (
-        score(
+        ScoreReport(
             hint_bytes=hints.byte_length,
             errors=trace.errors,
             model_bytes=len(serialize_model(model)),
@@ -250,8 +232,8 @@ def model_from_iid(source: IidSource, scale: int = 100) -> ContextModel:
     counts = {}
     for g, p in zip(source.glyphs, source.probs):
         c = round(p * scale)
-        if abs(c - p * scale) > 1e-9 or c <= 0:
-            raise ValueError(f"probability {p} is not a positive multiple of 1/{scale}")
+        if abs(c - p * scale) > 1e-9:
+            raise ValueError(f"probability {p} is not a multiple of 1/{scale}")
         counts[g] = c
     alphabet = Alphabet(source.glyphs)
     return ContextModel.from_counts(
@@ -281,8 +263,8 @@ def model_from_chain(chain: ChainSource, scale: int = 100) -> ContextModel:
         out = {}
         for glyph, p, _ in chain.rows[state]:
             c = round(p * scale)
-            if abs(c - p * scale) > 1e-9 or c <= 0:
-                raise ValueError(f"probability {p} is not a positive multiple of 1/{scale}")
+            if abs(c - p * scale) > 1e-9:
+                raise ValueError(f"probability {p} is not a multiple of 1/{scale}")
             out[alphabet.id_of(glyph)] = c
         return out
 

@@ -1,7 +1,9 @@
 """Order-k character Markov models with surprise/entropy analytics.
 
-Models are plain count tables: an alphabet of glyphs, one table per context
-order from k down to 0, and an additive smoothing constant. Everything is
+A model is an alphabet of glyphs, one count table for context order k, and
+an additive smoothing constant. The tables for orders k-1 down to 0, which
+prediction backs off to, are exact marginals of the order-k one, so they are
+derived when the model is built and never stored. Everything is
 deterministic, and a model never changes after training or parsing, so it is
 safe to share between concurrent encode/decode sessions.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -17,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 BOS = 0  # reserved begin-of-stream id; pads contexts, never occurs in text
 
 _MAGIC = b"RWC"
-_VERSION = b"1"
+_VERSION = b"2"
 
 
 class ModelFormatError(ValueError):
@@ -140,29 +143,55 @@ def entropy(dist: Distribution) -> float:
     return sum(p * math.log2(1.0 / p) for p in dist.probs if p > 0.0)
 
 
-# Context tables: tables[j] maps a length-j tuple of symbol ids to the counts
-# of the symbols that followed it. Orders below k are marginalizations of the
-# order-k table and exist so prediction can back off.
+# Context tables: a table maps a length-j tuple of symbol ids to the counts
+# of the symbols that followed it.
 Counts = dict[int, int]
 Table = dict[tuple[int, ...], Counts]
 
 
 @dataclass
 class ContextModel:
-    """Trained order-k model: count tables for orders 0..k plus smoothing."""
+    """Trained order-k model: the order-k count table plus smoothing.
+
+    `counts` maps each length-k context to {symbol id: count}. Constructing a
+    model validates it and derives `tables`, where tables[j] is the order-j
+    table (tables[k] is `counts` itself) and each lower order is summed from
+    the one above. Two models are equal when their alphabet, order,
+    smoothing and `counts` are; `tables` follows from those.
+    """
 
     alphabet: Alphabet
     order: int
     smoothing: float
-    tables: list[Table]
+    counts: Table
+    tables: list[Table] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.order < 0:
+        n = self.alphabet.size
+        k = self.order
+        if k < 0:
             raise ValueError("order must be >= 0")
-        if self.smoothing < 0:
-            raise ValueError("smoothing must be >= 0")
-        if len(self.tables) != self.order + 1:
-            raise ValueError("need one table per order 0..k")
+        if not (self.smoothing >= 0 and math.isfinite(self.smoothing * (n - 1))):
+            raise ValueError(f"smoothing {self.smoothing!r} is negative or has infinite mass")
+        if not self.counts:
+            raise ValueError("empty count table")
+        for ctx, row in self.counts.items():
+            if len(ctx) != k or not all(0 <= s < n for s in ctx):
+                raise ValueError(f"context {ctx!r} is not {k} ids of the alphabet")
+            if not row:
+                raise ValueError(f"context {ctx!r} has an empty row")
+            for sym, c in row.items():
+                if not (0 < sym < n):
+                    raise ValueError(f"symbol id {sym} outside alphabet")
+                if c < 1:
+                    raise ValueError(f"count {c!r} below 1")
+        self.tables = [{} for _ in range(k)] + [self.counts]
+        for j in range(k, 0, -1):
+            lower = self.tables[j - 1]
+            for ctx, row in self.tables[j].items():
+                bucket = lower.setdefault(ctx[1:], {})
+                for sym, c in row.items():
+                    bucket[sym] = bucket.get(sym, 0) + c
 
     @classmethod
     def from_counts(
@@ -172,26 +201,13 @@ class ContextModel:
         counts: Mapping[Sequence[int], Mapping[int, int]],
         smoothing: float = 0.0,
     ) -> "ContextModel":
-        """Build a model from explicit order-k counts, marginalizing lower orders.
+        """Build a model from a copy of explicit order-k counts.
 
         `counts` maps length-k context tuples to {symbol id: count}. Useful for
         constructing models whose predictions are exact rationals by design.
         """
-        tables: list[Table] = [{} for _ in range(order + 1)]
-        for ctx, row in counts.items():
-            ctx = tuple(ctx)
-            if len(ctx) != order:
-                raise ValueError(f"context {ctx!r} does not have length {order}")
-            for sym, c in row.items():
-                if not (0 < sym < alphabet.size):
-                    raise ValueError(f"symbol id {sym} outside alphabet")
-                if c < 0:
-                    raise ValueError("negative count")
-                for j in range(order + 1):
-                    sub = ctx[order - j:]
-                    bucket = tables[j].setdefault(sub, {})
-                    bucket[sym] = bucket.get(sym, 0) + c
-        return cls(alphabet, order, smoothing, tables)
+        table = {tuple(ctx): dict(row) for ctx, row in counts.items()}
+        return cls(alphabet, order, smoothing, table)
 
 
 def context_key(order: int, history: Sequence[int]) -> tuple[int, ...]:
@@ -218,55 +234,41 @@ def train(
     """
     if not corpus:
         raise ValueError("empty corpus")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
     if alphabet is None:
         alphabet = build_alphabet(corpus)
     ids = alphabet.encode(corpus)
     padded = [BOS] * order + ids
-    tables: list[Table] = [{} for _ in range(order + 1)]
+    counts: Table = {}
     for i, sym in enumerate(ids):
-        for j in range(order + 1):
-            ctx = tuple(padded[i + order - j : i + order])
-            bucket = tables[j].setdefault(ctx, {})
-            bucket[sym] = bucket.get(sym, 0) + 1
-    return ContextModel(alphabet, order, smoothing, tables)
+        row = counts.setdefault(tuple(padded[i : i + order]), {})
+        row[sym] = row.get(sym, 0) + 1
+    return ContextModel(alphabet, order, smoothing, counts)
 
 
 def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
     """Next-symbol distribution after `history` (a sequence of symbol ids).
 
-    Uses the longest trained suffix of the BOS-padded history, applies
-    additive smoothing over the non-sentinel alphabet at that order, and
-    falls back to uniform when nothing matches. The sentinel always gets
-    probability 0.
+    Uses the longest trained suffix of the BOS-padded history and applies
+    additive smoothing over the non-sentinel alphabet at that order. The
+    order-0 row is never empty, so some suffix always matches. The sentinel
+    always gets probability 0.
     """
     n = model.alphabet.size
-    if n < 2:
-        raise ValueError("alphabet has no symbols to predict")
     key = context_key(model.order, history)
-    counts: Counts | None = None
     for j in range(model.order, -1, -1):
         counts = model.tables[j].get(key[model.order - j :])
         if counts:
             break
     probs = [0.0] * n
-    if counts:
-        beta = model.smoothing
-        if beta:
-            total = sum(counts.values()) + beta * (n - 1)
-            for sym in range(1, n):
-                probs[sym] = (counts.get(sym, 0) + beta) / total
-        else:
-            total = sum(counts.values())
-            for sym, c in counts.items():
-                probs[sym] = c / total
-    else:
-        u = 1.0 / (n - 1)
+    beta = model.smoothing
+    if beta:
+        total = sum(counts.values()) + beta * (n - 1)
         for sym in range(1, n):
-            probs[sym] = u
+            probs[sym] = (counts.get(sym, 0) + beta) / total
+    else:
+        total = sum(counts.values())
+        for sym, c in counts.items():
+            probs[sym] = c / total
     return Distribution(tuple(probs))
 
 
@@ -288,29 +290,29 @@ class _Cursor:
 
 
 def serialize_model(model: ContextModel) -> bytes:
-    """Serialize to the versioned "RWC1" little-endian format.
+    """Serialize to the versioned "RWC2" little-endian format.
 
     Layout: magic, order (u32), smoothing (f64), glyph count (u32) and glyph
-    code points (u32 each), then per order 0..k a u64 context count followed
-    by each context (j u32 ids, u32 row length, and (u32 id, u64 count) pairs).
+    code points (u32 each), then the order-k table: a u64 context count
+    followed by each context (k u32 ids, u32 row length, and (u32 id, u64
+    count) pairs). Lower orders are derived on load, so they are not stored.
     Contexts and rows are sorted, so serialization is deterministic.
     """
+    k = model.order
     out = bytearray()
     out += _MAGIC + _VERSION
-    out += struct.pack("<Id", model.order, model.smoothing)
+    out += struct.pack("<Id", k, model.smoothing)
     out += struct.pack("<I", len(model.alphabet.glyphs))
     for g in model.alphabet.glyphs:
         out += struct.pack("<I", ord(g))
-    for j in range(model.order + 1):
-        table = model.tables[j]
-        out += struct.pack("<Q", len(table))
-        for ctx in sorted(table):
-            if j:
-                out += struct.pack(f"<{j}I", *ctx)
-            row = table[ctx]
-            out += struct.pack("<I", len(row))
-            for sym in sorted(row):
-                out += struct.pack("<IQ", sym, row[sym])
+    table = model.counts
+    out += struct.pack("<Q", len(table))
+    for ctx in sorted(table):
+        out += struct.pack(f"<{k}I", *ctx)
+        row = table[ctx]
+        out += struct.pack("<I", len(row))
+        for sym in sorted(row):
+            out += struct.pack("<IQ", sym, row[sym])
     return bytes(out)
 
 
@@ -325,37 +327,26 @@ def parse_model(data: bytes) -> ContextModel:
     cur = _Cursor(data)
     cur.pos = 4
     order, smoothing = cur.take("<Id")
-    if smoothing < 0 or math.isnan(smoothing):
-        raise ModelFormatError("invalid smoothing constant")
     (n_glyphs,) = cur.take("<I")
     glyphs = []
     for _ in range(n_glyphs):
         (cp,) = cur.take("<I")
-        try:
-            glyphs.append(chr(cp))
-        except ValueError:
-            raise ModelFormatError(f"invalid glyph code point {cp:#x}") from None
-    try:
-        alphabet = Alphabet(tuple(glyphs))
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from None
-    tables: list[Table] = []
-    for j in range(order + 1):
-        (n_ctx,) = cur.take("<Q")
-        table: Table = {}
-        for _ in range(n_ctx):
-            ctx = cur.take(f"<{j}I") if j else ()
-            if any(s >= alphabet.size for s in ctx):
-                raise ModelFormatError("context symbol id outside alphabet")
-            (n_row,) = cur.take("<I")
-            row: Counts = {}
-            for _ in range(n_row):
-                sym, count = cur.take("<IQ")
-                if not (0 < sym < alphabet.size):
-                    raise ModelFormatError("symbol id outside alphabet")
-                row[sym] = count
-            table[ctx] = row
-        tables.append(table)
+        if cp > sys.maxunicode:
+            raise ModelFormatError(f"invalid glyph code point {cp:#x}")
+        glyphs.append(chr(cp))
+    (n_ctx,) = cur.take("<Q")
+    table: Table = {}
+    for _ in range(n_ctx):
+        ctx = cur.take(f"<{order}I")
+        (n_row,) = cur.take("<I")
+        row: Counts = {}
+        for _ in range(n_row):
+            sym, count = cur.take("<IQ")
+            row[sym] = count
+        table[ctx] = row
     if not cur.done():
         raise ModelFormatError("trailing data after model")
-    return ContextModel(alphabet, order, smoothing, tables)
+    try:
+        return ContextModel(Alphabet(tuple(glyphs)), order, smoothing, table)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None

@@ -54,17 +54,20 @@ class EncodeReport:
 
 @dataclass(frozen=True)
 class StepOutcome:
+    """One reveal: the guess, the true character, and the hint bits it kept."""
+
     guessed: str
     truth: str
-    correct: bool
-    rewound: bool
     bits_consumed_net: int
 
-    def __post_init__(self):
-        if self.correct != (self.guessed == self.truth):
-            raise ValueError("correct flag disagrees with guess/truth")
-        if self.rewound and self.correct:
-            raise ValueError("a correct guess cannot rewind")
+    @property
+    def correct(self) -> bool:
+        return self.guessed == self.truth
+
+    @property
+    def rewound(self) -> bool:
+        """A wrong guess rewinds the coder to the checkpoint before it."""
+        return not self.correct
 
 
 @dataclass(frozen=True)
@@ -78,10 +81,6 @@ class DecodeTrace:
     @property
     def kept(self) -> int:
         return sum(1 for s in self.steps if s.correct)
-
-    @property
-    def skipped(self) -> int:
-        return self.errors
 
     @property
     def decoded(self) -> str:
@@ -182,23 +181,14 @@ class DecoderSession:
         if truth not in self.model.alphabet:
             raise UnknownCharacterError(truth, len(self.history))
         truth_sym = self.model.alphabet.id_of(truth)
-        before = state[3]
         if truth_sym == guess_sym:
-            rewound = False
-            net = self._decoder.bits_read - before
+            net = self._decoder.bits_read - state[3]
         else:
             self._decoder.restore(state)
-            rewound = True
             net = 0
         self.history.append(truth_sym)
         self._pending = None
-        return StepOutcome(
-            guessed=guessed,
-            truth=truth,
-            correct=not rewound,
-            rewound=rewound,
-            bits_consumed_net=net,
-        )
+        return StepOutcome(guessed=guessed, truth=truth, bits_consumed_net=net)
 
 
 def run_trace(

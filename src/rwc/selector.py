@@ -98,6 +98,14 @@ def _make_kept(members: list[int], probs: tuple[float, ...]) -> KeptSet:
     )
 
 
+def _ranked(probs: tuple[float, ...]) -> list[int]:
+    """Positive-probability ids, highest probability first, ties by ascending id."""
+    ranked = sorted((i for i, p in enumerate(probs) if p > 0.0), key=lambda i: (-probs[i], i))
+    if not ranked:
+        raise ValueError("distribution has empty support")
+    return ranked
+
+
 def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
     """Largest prefix of the probability ordering whose members all clear alpha.
 
@@ -107,9 +115,7 @@ def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
     symbols are never kept.
     """
     probs = dist.probs
-    ranked = sorted((i for i, p in enumerate(probs) if p > 0.0), key=lambda i: (-probs[i], i))
-    if not ranked:
-        raise ValueError("distribution has empty support")
+    ranked = _ranked(probs)
     members = [ranked[0]]
     mass = probs[ranked[0]]
     for i in ranked[1:]:
@@ -122,11 +128,7 @@ def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
 
 def full_support(dist: Distribution) -> KeptSet:
     """Every positive-probability symbol, highest first: the lossless kept set."""
-    probs = dist.probs
-    ranked = sorted((i for i, p in enumerate(probs) if p > 0.0), key=lambda i: (-probs[i], i))
-    if not ranked:
-        raise ValueError("distribution has empty support")
-    return _make_kept(ranked, probs)
+    return _make_kept(_ranked(dist.probs), dist.probs)
 
 
 def subset_cost(dist: Distribution, members: Iterable[int]) -> float:

@@ -1,8 +1,12 @@
+import math
+import os
+import struct
+
 import pytest
 
 from rwc.cli import Config, main
 from rwc.harness import evaluate, model_from_chain, two_state_chain
-from rwc.model import parse_model, serialize_model
+from rwc.model import Alphabet, ContextModel, parse_model, serialize_model
 from rwc.rewind import render_trace
 
 
@@ -19,6 +23,42 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def model_file(order, smoothing, code_points, table):
+    """An RWC2 model file written field by field, so that it can hold what no
+    valid model serializes to. `table` lists (context, [(symbol, count)])."""
+    out = b"RWC2" + struct.pack("<IdI", order, smoothing, len(code_points))
+    out += struct.pack(f"<{len(code_points)}I", *code_points)
+    out += struct.pack("<Q", len(table))
+    for ctx, row in table:
+        out += struct.pack(f"<{order}I", *ctx) + struct.pack("<I", len(row))
+        for sym, count in row:
+            out += struct.pack("<IQ", sym, count)
+    return out
+
+
+ETAHS = [ord(g) for g in "ETAHS"]  # covers the chain_files document
+HOSTILE_MODELS = {
+    "infinite smoothing": model_file(0, math.inf, ETAHS, [((), [(1, 1)])]),
+    "smoothing mass overflows": model_file(0, 1e308, ETAHS, [((), [(1, 1)])]),
+    "NaN smoothing": model_file(0, math.nan, ETAHS, [((), [(1, 1)])]),
+    "negative smoothing": model_file(0, -1.0, ETAHS, [((), [(1, 1)])]),
+    "zero count without smoothing": model_file(0, 0.0, ETAHS, [((), [(1, 0)])]),
+    "empty table": model_file(0, 0.1, ETAHS, []),
+    "empty row": model_file(0, 0.1, ETAHS, [((), [])]),
+    "code point past 2**31": model_file(0, 0.1, ETAHS + [2**31], [((), [(1, 1)])]),
+    "code point past Unicode": model_file(0, 0.1, ETAHS + [0x110000], [((), [(1, 1)])]),
+    "context id outside alphabet": model_file(1, 0.1, ETAHS, [((7,), [(1, 1)])]),
+    "symbol id outside alphabet": model_file(0, 0.1, ETAHS, [((), [(7, 1)])]),
+    "retired RWC1 version": b"RWC1" + model_file(0, 0.1, ETAHS, [((), [(1, 1)])])[4:],
+}
+
+
+def test_model_file_helper_writes_the_serialized_format():
+    m = ContextModel.from_counts(Alphabet(("E", "T")), 1, {(0,): {1: 3}, (1,): {1: 1, 2: 2}}, 0.1)
+    table = [((0,), [(1, 3)]), ((1,), [(1, 1), (2, 2)])]
+    assert model_file(1, 0.1, [69, 84], table) == serialize_model(m)
 
 
 class TestAlpha:
@@ -59,6 +99,24 @@ class TestTrain:
         out_path = tmp_path / "model.rwc"
         run(capsys, "train", str(corpus), str(out_path))
         assert not (tmp_path / "model.rwc.tmp").exists()
+
+    def test_existing_tmp_file_survives(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("ABAB", encoding="utf-8")
+        (tmp_path / "model.rwc.tmp").write_bytes(b"the user's own file")
+        code, _, _ = run(capsys, "train", str(corpus), str(tmp_path / "model.rwc"))
+        assert code == 0
+        assert (tmp_path / "model.rwc.tmp").read_bytes() == b"the user's own file"
+        assert sorted(os.listdir(tmp_path)) == ["corpus.txt", "model.rwc", "model.rwc.tmp"]
+
+    def test_failed_rename_removes_the_temp_file(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("ABAB", encoding="utf-8")
+        (tmp_path / "taken").mkdir()
+        code, _, err = run(capsys, "train", str(corpus), str(tmp_path / "taken"))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert sorted(os.listdir(tmp_path)) == ["corpus.txt", "taken"]
 
 
 class TestEncodeDecodeTrace:
@@ -114,6 +172,16 @@ class TestEncodeDecodeTrace:
         code, _, err = run(capsys, "encode", str(bad), text, str(tmp_path / "h"))
         assert code == 3
         assert "malformed model" in err
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_MODELS))
+    def test_hostile_model_exits_three(self, chain_files, capsys, case):
+        tmp_path, _, text = chain_files
+        bad = tmp_path / "bad.rwc"
+        bad.write_bytes(HOSTILE_MODELS[case])
+        code, out, err = run(capsys, "eval", str(bad), text)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: malformed model: ")
 
     def test_character_outside_alphabet_exits_four(self, chain_files, capsys):
         tmp_path, model, _ = chain_files

@@ -15,7 +15,6 @@ from rwc.harness import (
     gen_markov,
     model_from_chain,
     model_from_iid,
-    score,
     two_state_chain,
     uniform_byte_model,
 )
@@ -124,28 +123,28 @@ class TestSourceValidation:
 
 class TestScore:
     def test_doubles_hint_bytes(self):
-        assert score(1, 1).score == 3
+        assert ScoreReport(1, 1).score == 3
 
     def test_zero(self):
-        assert score(0, 0).score == 0
+        assert ScoreReport(0, 0).score == 0
 
     def test_model_inclusion(self):
-        assert score(10, 4, model_bytes=100, include_model=True).score == 224
+        assert ScoreReport(10, 4, model_bytes=100, include_model=True).score == 224
 
     def test_model_excluded_by_default(self):
-        report = score(10, 4, model_bytes=100)
+        report = ScoreReport(10, 4, model_bytes=100)
         assert report.score == 24
         assert "model_bytes=100" in report.lines()
         assert "score_with_model=224" in report.lines()
 
     def test_summary_line_format(self):
-        assert score(1, 1).summary_line() == "L=1 E=1 score=3"
+        assert ScoreReport(1, 1).summary_line() == "L=1 E=1 score=3"
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            score(-1, 0)
+            ScoreReport(-1, 0)
         with pytest.raises(ValueError):
-            score(0, -1)
+            ScoreReport(0, -1)
 
     def test_include_without_measurement_rejected(self):
         with pytest.raises(ValueError):

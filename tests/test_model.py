@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwc.model import (
@@ -120,10 +120,10 @@ class TestPredict:
         assert d.probs[a.id_of("T")] == 0.49
         assert d.probs[a.id_of("A")] == 0.02
 
-    def test_uniform_fallback_when_nothing_trained(self):
-        m = ContextModel(Alphabet(("E", "T")), 1, 0.0, [{}, {}])
-        d = predict(m, [1])
-        assert d.probs == (0.0, 0.5, 0.5)
+    def test_empty_model_rejected(self):
+        # Refusing it is what lets predict always find an order-0 row to back off to.
+        with pytest.raises(ValueError, match="empty count table"):
+            ContextModel(Alphabet(("E", "T")), 1, 0.0, {})
 
     def test_backoff_uses_longest_trained_suffix(self):
         m = train("ABAB", 2, 0.0)
@@ -219,7 +219,7 @@ class TestModelFile:
 
     def test_unsupported_version(self):
         data = bytearray(serialize_model(train("AB", 0, 0.0)))
-        data[3:4] = b"2"
+        data[3:4] = b"1"
         with pytest.raises(UnsupportedVersionError):
             parse_model(bytes(data))
 
@@ -240,12 +240,45 @@ class TestModelFile:
         m = train(corpus, k, 0.5)
         assert parse_model(serialize_model(m)) == m
 
+    def test_only_the_order_k_table_is_stored(self):
+        # magic 4 + order 4 + smoothing 8 + glyph count 4 + 2 glyphs 8, then
+        # one u64 context count and 3 contexts of (2 ids, row length, one pair)
+        m = train("ABA", 2, 0.0)
+        assert len(m.counts) == 3
+        assert len(serialize_model(m)) == 28 + 8 + 3 * (8 + 4 + 12)
+
+    @settings(max_examples=400)
+    @given(
+        st.text(alphabet="AB\u00e9\U0001f600", min_size=1, max_size=30),
+        st.integers(0, 2),
+        st.data(),
+    )
+    def test_damaged_file_raises_only_format_errors(self, corpus, k, data):
+        blob = serialize_model(train(corpus, k, 0.5))
+        if data.draw(st.booleans()):
+            damaged = blob[: data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            at = data.draw(st.integers(0, len(blob) - 1))
+            damaged = blob[:at] + bytes([data.draw(st.integers(0, 255))]) + blob[at + 1 :]
+        try:
+            m = parse_model(damaged)
+        except ModelFormatError:
+            return
+        predict(m, []).validate()
+
 
 class TestFromCounts:
     def test_lower_orders_are_marginalized(self):
         a = Alphabet(("X", "Y"))
         m = ContextModel.from_counts(a, 1, {(1,): {1: 3, 2: 1}, (2,): {1: 2}})
         assert m.tables[0][()] == {1: 5, 2: 1}
+
+    def test_input_is_copied(self):
+        counts = {(): {1: 2}}
+        m = ContextModel.from_counts(Alphabet(("X", "Y")), 0, counts)
+        counts[()][2] = 5
+        counts[(1,)] = {1: 1}
+        assert m.counts == {(): {1: 2}}
 
     def test_context_length_checked(self):
         a = Alphabet(("X",))
@@ -256,3 +289,72 @@ class TestFromCounts:
         a = Alphabet(("X",))
         with pytest.raises(ValueError):
             ContextModel.from_counts(a, 0, {(): {9: 1}})
+
+
+class TestValidation:
+    """The constructor is the one place a count table is checked, whether it
+    came from `train`, `from_counts` or a model file."""
+
+    @pytest.mark.parametrize(
+        "order, counts",
+        [
+            pytest.param(0, {}, id="empty table"),
+            pytest.param(1, {(1, 1): {1: 1}}, id="context too long"),
+            pytest.param(1, {(3,): {1: 1}}, id="context id past alphabet"),
+            pytest.param(1, {(-1,): {1: 1}}, id="negative context id"),
+            pytest.param(0, {(): {0: 1}}, id="sentinel as symbol"),
+            pytest.param(0, {(): {3: 1}}, id="symbol past alphabet"),
+            pytest.param(0, {(): {}}, id="empty row"),
+            pytest.param(1, {(1,): {1: 1}, (2,): {}}, id="one empty row among full ones"),
+            pytest.param(0, {(): {1: 0}}, id="zero count"),
+            pytest.param(0, {(): {1: 2, 2: -1}}, id="negative count"),
+        ],
+    )
+    def test_bad_counts_rejected(self, order, counts):
+        a = Alphabet(("X", "Y"))
+        with pytest.raises(ValueError):
+            ContextModel(a, order, 0.0, counts)
+        with pytest.raises(ValueError):
+            ContextModel.from_counts(a, order, counts)
+
+    @pytest.mark.parametrize("beta", [-0.5, math.nan, math.inf, 1e308])
+    def test_smoothing_must_be_nonnegative_with_finite_mass(self, beta):
+        # 1e308 is finite, but its mass over the 3 symbols overflows.
+        with pytest.raises(ValueError, match="smoothing"):
+            ContextModel.from_counts(Alphabet(("X", "Y", "Z")), 0, {(): {1: 1}}, beta)
+
+    def test_largest_finite_smoothing_mass_accepted(self):
+        m = ContextModel.from_counts(Alphabet(("X", "Y")), 0, {(): {1: 1}}, 5e307)
+        predict(m, []).validate()
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="order"):
+            ContextModel(Alphabet(("X",)), -1, 0.0, {(): {1: 1}})
+
+
+def per_order_tables(corpus, order, alphabet):
+    """Reference counting: every order counted separately at every position,
+    with no table derived from another."""
+    ids = alphabet.encode(corpus)
+    padded = [BOS] * order + ids
+    tables = [{} for _ in range(order + 1)]
+    for i, sym in enumerate(ids):
+        for j in range(order + 1):
+            ctx = tuple(padded[i + order - j : i + order])
+            bucket = tables[j].setdefault(ctx, {})
+            bucket[sym] = bucket.get(sym, 0) + 1
+    return tables
+
+
+class TestOneCountingPath:
+    @given(
+        st.text(alphabet="ab \nZ\u00e9", min_size=1, max_size=80),
+        st.integers(0, 4),
+        st.sampled_from([0.0, 0.1, 1.0]),
+    )
+    def test_derived_tables_match_per_order_counting(self, corpus, k, beta):
+        m = train(corpus, k, beta)
+        assert m.tables == per_order_tables(corpus, k, m.alphabet)
+        rebuilt = ContextModel.from_counts(m.alphabet, m.order, m.counts, m.smoothing)
+        assert rebuilt == m
+        assert rebuilt.tables == m.tables

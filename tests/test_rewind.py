@@ -10,7 +10,6 @@ from rwc.rewind import (
     DecoderSession,
     DecodeTrace,
     HintsFile,
-    StepOutcome,
     decode_text,
     encode_document,
     render_guess_line,
@@ -154,7 +153,7 @@ class TestRunTrace:
         hints, report = encode_document(chain_model, params, "ETAHTETTT")
         trace = run_trace(chain_model, params, hints, "ETAHTETTT")
         assert trace.kept == report.kept
-        assert trace.skipped == report.skipped
+        assert trace.errors == report.skipped
 
 
 class TestRender:
@@ -174,15 +173,6 @@ class TestRender:
         line = render_guess_line(trace, ansi=True)
         assert "\x1b[31mT\x1b[0m" in line
         assert "[T]" not in line
-
-
-class TestStepOutcome:
-    def test_flag_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            StepOutcome(guessed="E", truth="E", correct=False, rewound=False, bits_consumed_net=0)
-        with pytest.raises(ValueError):
-            StepOutcome(guessed="E", truth="E", correct=True, rewound=True, bits_consumed_net=0)
-        StepOutcome(guessed="E", truth="T", correct=False, rewound=True, bits_consumed_net=0)
 
 
 class TestLossless:
