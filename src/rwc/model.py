@@ -19,6 +19,12 @@ from typing import Iterable, Mapping, Sequence
 
 BOS = 0  # reserved begin-of-stream id; pads contexts, never occurs in text
 
+# Highest context order a model may have. Deriving the lower orders costs
+# about k^2/2 ids per order-k context, so an unbounded order would let a
+# small model file claim memory quadratic in its size.
+MAX_ORDER = 8
+MAX_COUNT = 2**64 - 1  # a count must fit the model file's u64 field
+
 _MAGIC = b"RWC"
 _VERSION = b"2"
 
@@ -169,8 +175,8 @@ class ContextModel:
     def __post_init__(self):
         n = self.alphabet.size
         k = self.order
-        if k < 0:
-            raise ValueError("order must be >= 0")
+        if not 0 <= k <= MAX_ORDER:
+            raise ValueError(f"order {k} is not in 0..{MAX_ORDER}")
         if not (self.smoothing >= 0 and math.isfinite(self.smoothing * (n - 1))):
             raise ValueError(f"smoothing {self.smoothing!r} is negative or has infinite mass")
         if not self.counts:
@@ -183,8 +189,8 @@ class ContextModel:
             for sym, c in row.items():
                 if not (0 < sym < n):
                     raise ValueError(f"symbol id {sym} outside alphabet")
-                if c < 1:
-                    raise ValueError(f"count {c!r} below 1")
+                if type(c) is not int or not 1 <= c <= MAX_COUNT:
+                    raise ValueError(f"count {c!r} is not an integer in 1..2**64-1")
         self.tables = [{} for _ in range(k)] + [self.counts]
         for j in range(k, 0, -1):
             lower = self.tables[j - 1]

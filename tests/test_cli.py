@@ -6,7 +6,7 @@ import pytest
 
 from rwc.cli import Config, main
 from rwc.harness import evaluate, model_from_chain, two_state_chain
-from rwc.model import Alphabet, ContextModel, parse_model, serialize_model
+from rwc.model import MAX_ORDER, Alphabet, ContextModel, parse_model, serialize_model
 from rwc.rewind import render_trace
 
 
@@ -51,6 +51,9 @@ HOSTILE_MODELS = {
     "code point past Unicode": model_file(0, 0.1, ETAHS + [0x110000], [((), [(1, 1)])]),
     "context id outside alphabet": model_file(1, 0.1, ETAHS, [((7,), [(1, 1)])]),
     "symbol id outside alphabet": model_file(0, 0.1, ETAHS, [((), [(7, 1)])]),
+    "order past MAX_ORDER": model_file(
+        MAX_ORDER + 1, 0.1, ETAHS, [((1,) * (MAX_ORDER + 1), [(1, 1)])]
+    ),
     "retired RWC1 version": b"RWC1" + model_file(0, 0.1, ETAHS, [((), [(1, 1)])])[4:],
 }
 
@@ -97,8 +100,9 @@ class TestTrain:
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("ABAB", encoding="utf-8")
         out_path = tmp_path / "model.rwc"
-        run(capsys, "train", str(corpus), str(out_path))
-        assert not (tmp_path / "model.rwc.tmp").exists()
+        code, _, _ = run(capsys, "train", str(corpus), str(out_path))
+        assert code == 0
+        assert sorted(os.listdir(tmp_path)) == ["corpus.txt", "model.rwc"]
 
     def test_existing_tmp_file_survives(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"

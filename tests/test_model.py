@@ -8,6 +8,7 @@ from rwc.model import (
     BOS,
     Alphabet,
     BadMagicError,
+    MAX_ORDER,
     ContextModel,
     Distribution,
     ModelFormatError,
@@ -308,6 +309,10 @@ class TestValidation:
             pytest.param(1, {(1,): {1: 1}, (2,): {}}, id="one empty row among full ones"),
             pytest.param(0, {(): {1: 0}}, id="zero count"),
             pytest.param(0, {(): {1: 2, 2: -1}}, id="negative count"),
+            pytest.param(0, {(): {1: 1.5}}, id="fractional count"),
+            pytest.param(0, {(): {1: 2.0}}, id="integral float count"),
+            pytest.param(0, {(): {1: True}}, id="bool count"),
+            pytest.param(0, {(): {1: 2**64}}, id="count past u64"),
         ],
     )
     def test_bad_counts_rejected(self, order, counts):
@@ -330,6 +335,16 @@ class TestValidation:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="order"):
             ContextModel(Alphabet(("X",)), -1, 0.0, {(): {1: 1}})
+
+    def test_order_past_max_rejected(self):
+        k = MAX_ORDER + 1
+        with pytest.raises(ValueError, match="order"):
+            ContextModel(Alphabet(("X",)), k, 0.0, {(1,) * k: {1: 1}})
+
+    def test_max_order_and_largest_count_roundtrip(self):
+        counts = {(1,) * MAX_ORDER: {1: 2**64 - 1}}
+        m = ContextModel.from_counts(Alphabet(("X",)), MAX_ORDER, counts)
+        assert parse_model(serialize_model(m)) == m
 
 
 def per_order_tables(corpus, order, alphabet):
