@@ -43,8 +43,6 @@ def main(argv=None):
     parser.add_argument("--order", type=int, default=2, help="context length")
     parser.add_argument("--smoothing", type=float, default=0.1, help="additive count")
     parser.add_argument("--train-frac", type=float, default=0.9)
-    parser.add_argument("--include-model", action="store_true",
-                        help="charge the serialized model to the score")
     args = parser.parse_args(argv)
 
     corpus = load_corpus(args)
@@ -61,9 +59,7 @@ def main(argv=None):
     start = time.perf_counter()
     model = train(train_slice, args.order, args.smoothing, alphabet=build_alphabet(corpus))
     trained = time.perf_counter()
-    report, _ = evaluate(
-        model, SelectorParams.default(), held_out, include_model=args.include_model
-    )
+    report, _ = evaluate(model, SelectorParams.default(), held_out)
     done = time.perf_counter()
 
     for line in report.lines():

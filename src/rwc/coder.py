@@ -139,48 +139,27 @@ class Encoder:
         return bytes(payload), len(bits)
 
 
-class _BitReader:
-    """MSB-first bit cursor over a payload; reads past the end yield 0."""
-
-    def __init__(self, payload: bytes):
-        self.payload = payload
-        self.pos = 0
-
-    def read(self) -> int:
-        i = self.pos
-        self.pos = i + 1
-        byte = i >> 3
-        if byte >= len(self.payload):
-            return 0
-        return (self.payload[byte] >> (7 - (i & 7))) & 1
-
-
 class Decoder:
     """Streaming arithmetic decoder over a finished payload.
 
     State (interval, code window, bit position) is tiny and can be snapshotted
     with checkpoint() and rolled back with restore(), which is how wrong
     guesses get rewound: restore, then decode the same bits under a different
-    table.
+    table. Payload bits are read MSB first.
     """
 
     def __init__(self, payload: bytes):
-        self._reader = _BitReader(payload)
+        self.payload = payload
         self.low = 0
         self.high = MASK
-        self.code = 0
-        for _ in range(PRECISION):
-            self.code = (self.code << 1) | self._reader.read()
-
-    @property
-    def bits_read(self) -> int:
-        return self._reader.pos
+        self.code = int.from_bytes(payload[: PRECISION // 8].ljust(PRECISION // 8, b"\0"), "big")
+        self.bits_read = PRECISION
 
     def checkpoint(self) -> tuple[int, int, int, int]:
-        return (self.low, self.high, self.code, self._reader.pos)
+        return (self.low, self.high, self.code, self.bits_read)
 
     def restore(self, state: tuple[int, int, int, int]) -> None:
-        self.low, self.high, self.code, self._reader.pos = state
+        self.low, self.high, self.code, self.bits_read = state
 
     def decode(self, table: FrequencyTable) -> int:
         rng = self.high - self.low + 1
@@ -203,5 +182,10 @@ class Decoder:
                 break
             self.low <<= 1
             self.high = (self.high << 1) | 1
-            self.code = (self.code << 1) | self._reader.read()
+            i = self.bits_read
+            self.bits_read = i + 1
+            bit = 0
+            if i >> 3 < len(self.payload):
+                bit = (self.payload[i >> 3] >> (7 - (i & 7))) & 1
+            self.code = (self.code << 1) | bit
         return index

@@ -2,8 +2,9 @@
 
 The objective is 2L+E: hint bytes count double, wrong guesses count once.
 The challenge charges L for the whole program; this artifact cannot weigh its
-own code, so the report carries the model's serialized size separately and
-folds it in only on request.
+own code, so the report scores the hints alone and, when the model was
+measured, also reports score_with_model, which charges the serialized model
+to L.
 
 Generators share one tiny seeded RNG so every statistical check in the test
 suite is reproducible bit for bit.
@@ -54,20 +55,21 @@ class ScoreReport:
     kept: int = 0
     skipped: int = 0
     model_bytes: int | None = None
-    include_model: bool = False
 
     def __post_init__(self):
-        if self.hint_bytes < 0 or self.errors < 0:
+        if min(self.hint_bytes, self.errors, self.model_bytes or 0) < 0:
             raise ValueError("counts cannot be negative")
-        if self.include_model and self.model_bytes is None:
-            raise ValueError("cannot include an unmeasured model")
 
     @property
     def score(self) -> int:
-        length = self.hint_bytes
-        if self.include_model:
-            length += self.model_bytes
-        return 2 * length + self.errors
+        return 2 * self.hint_bytes + self.errors
+
+    @property
+    def score_with_model(self) -> int | None:
+        """2(L + model bytes) + E, or None when the model was not measured."""
+        if self.model_bytes is None:
+            return None
+        return 2 * (self.hint_bytes + self.model_bytes) + self.errors
 
     def summary_line(self) -> str:
         return f"L={self.hint_bytes} E={self.errors} score={self.score}"
@@ -77,7 +79,7 @@ class ScoreReport:
         out = [self.summary_line(), f"kept={self.kept}", f"skipped={self.skipped}"]
         if self.model_bytes is not None:
             out.append(f"model_bytes={self.model_bytes}")
-            out.append(f"score_with_model={2 * (self.hint_bytes + self.model_bytes) + self.errors}")
+            out.append(f"score_with_model={self.score_with_model}")
         return out
 
 
@@ -85,7 +87,6 @@ def evaluate(
     model: ContextModel,
     params: SelectorParams,
     text: str,
-    include_model: bool = False,
     *,
     lossless: bool = False,
 ) -> tuple[ScoreReport, DecodeTrace]:
@@ -101,7 +102,6 @@ def evaluate(
             hint_bytes=hints.byte_length,
             errors=trace.errors,
             model_bytes=len(serialize_model(model)),
-            include_model=include_model,
             kept=report.kept,
             skipped=report.skipped,
         ),
@@ -148,11 +148,6 @@ class ChainSource:
                     raise ValueError("negative probability")
                 if nxt not in self.rows:
                     raise ValueError(f"transition to unknown state {nxt!r}")
-
-
-@dataclass(frozen=True)
-class BytesSource:
-    """Uniform random bytes; Example of what no codec can shrink."""
 
 
 def _pick(cum: Sequence[float], u: float) -> int:

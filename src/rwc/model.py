@@ -342,14 +342,19 @@ def parse_model(data: bytes) -> ContextModel:
         glyphs.append(chr(cp))
     (n_ctx,) = cur.take("<Q")
     table: Table = {}
+    ctx_format = f"<{order}I"
     for _ in range(n_ctx):
-        ctx = cur.take(f"<{order}I")
+        ctx = cur.take(ctx_format)
         (n_row,) = cur.take("<I")
         row: Counts = {}
         for _ in range(n_row):
             sym, count = cur.take("<IQ")
             row[sym] = count
+        if len(row) != n_row:
+            raise ModelFormatError(f"context {ctx} lists a symbol twice")
         table[ctx] = row
+    if len(table) != n_ctx:
+        raise ModelFormatError("a context is listed twice")
     if not cur.done():
         raise ModelFormatError("trailing data after model")
     try:

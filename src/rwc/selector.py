@@ -38,9 +38,10 @@ def marginal_f(x: float) -> float:
 
 
 def solve_alpha(tol: float = ALPHA_DEFAULT_TOL) -> float:
-    """Root of marginal_f in (0, 1), found by bisection to within tol."""
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    """Root of marginal_f in (0, 1), found by bisection to within tol, or to
+    adjacent floats when tol is finer than their spacing."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     cached = _CACHED_ALPHA.get(tol)
     if cached is not None:
         return cached
@@ -50,6 +51,8 @@ def solve_alpha(tol: float = ALPHA_DEFAULT_TOL) -> float:
         raise ArithmeticError("bisection bracket does not straddle the root")
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            break
         if marginal_f(mid) > 0.0:
             lo = mid
         else:

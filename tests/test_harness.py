@@ -129,7 +129,7 @@ class TestScore:
         assert ScoreReport(0, 0).score == 0
 
     def test_model_inclusion(self):
-        assert ScoreReport(10, 4, model_bytes=100, include_model=True).score == 224
+        assert ScoreReport(10, 4, model_bytes=100).score_with_model == 224
 
     def test_model_excluded_by_default(self):
         report = ScoreReport(10, 4, model_bytes=100)
@@ -145,10 +145,11 @@ class TestScore:
             ScoreReport(-1, 0)
         with pytest.raises(ValueError):
             ScoreReport(0, -1)
+        with pytest.raises(ValueError):
+            ScoreReport(0, 0, model_bytes=-1)
 
     def test_include_without_measurement_rejected(self):
-        with pytest.raises(ValueError):
-            ScoreReport(hint_bytes=1, errors=0, include_model=True)
+        assert ScoreReport(hint_bytes=1, errors=0).score_with_model is None
 
 
 class TestEvaluate:
@@ -168,9 +169,10 @@ class TestEvaluate:
         assert trace.decoded == "ETAHTETTT"
 
     def test_model_bytes_match_serialization(self, eta_model, params):
-        report, _ = evaluate(eta_model, params, "ETE", include_model=True)
+        report, _ = evaluate(eta_model, params, "ETE")
         assert report.model_bytes == len(serialize_model(eta_model))
-        assert report.score == 2 * (report.hint_bytes + report.model_bytes) + report.errors
+        expected = 2 * (report.hint_bytes + report.model_bytes) + report.errors
+        assert report.score_with_model == expected
 
 
 class TestFixtureModels:

@@ -149,6 +149,17 @@ class TestRunTrace:
         b = run_trace(chain_model, params, hints.payload + b"\x00\x00", "ETAHTETTT")
         assert a == b
 
+    @given(
+        payload=st.binary(max_size=16),
+        text=st.text(alphabet="ETASH", max_size=40),
+        lossless=st.booleans(),
+    )
+    def test_any_bytes_decode_to_a_trace(self, chain_model, params, payload, text, lossless):
+        # Errors are data: hints that were never encoded for `text` still decode.
+        trace = run_trace(chain_model, params, payload, text, lossless=lossless)
+        assert trace.decoded == text
+        assert 0 <= trace.errors <= len(text)
+
     def test_kept_and_skipped_totals(self, chain_model, params):
         hints, report = encode_document(chain_model, params, "ETAHTETTT")
         trace = run_trace(chain_model, params, hints, "ETAHTETTT")

@@ -52,8 +52,12 @@ class TestSolveAlpha:
         assert f"{coarse:.5f}" == f"{fine:.5f}"
 
     def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            solve_alpha(0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                solve_alpha(tol)
+
+    def test_tolerance_below_float_spacing_terminates(self):
+        assert abs(solve_alpha(1e-300) - solve_alpha()) <= 1e-10
 
     def test_params_default_carries_alpha(self):
         p = SelectorParams.default()
