@@ -56,7 +56,11 @@ def _write_atomic(path: str, data: bytes) -> None:
     over `path`. The temp file is created exclusively, so no existing file is
     truncated, and it is removed if the write or the rename fails."""
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # e.g. a missing directory: name the path the caller gave
+        exc.filename = path
+        raise
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
@@ -115,15 +119,18 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _size(number: int | None, path: str | None, flags: str) -> int | None:
+    """`number`, or the size of the file at `path`; giving both is an error."""
+    if number is not None and path is not None:
+        raise ValueError(f"give {flags}, not both")
+    return number if path is None else len(_read_bytes(path))
+
+
 def cmd_score(args) -> int:
-    hint_bytes = args.hint_bytes
+    hint_bytes = _size(args.hint_bytes, args.hints, "--hint-bytes or --hints")
     if hint_bytes is None:
-        if args.hints is None:
-            raise ValueError("give --hint-bytes or --hints")
-        hint_bytes = len(_read_bytes(args.hints))
-    model_bytes = args.model_bytes
-    if model_bytes is None and args.model is not None:
-        model_bytes = len(_read_bytes(args.model))
+        raise ValueError("give --hint-bytes or --hints")
+    model_bytes = _size(args.model_bytes, args.model, "--model-bytes or --model")
     report = ScoreReport(hint_bytes=hint_bytes, errors=args.errors, model_bytes=model_bytes)
     print(report.summary_line())
     if report.score_with_model is not None:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import lt
 from typing import Sequence
 
 PRECISION = 32
@@ -37,14 +39,11 @@ class FrequencyTable:
         freqs = tuple(freqs)
         if not freqs:
             raise ValueError("empty frequency table")
-        if any(f < 1 for f in freqs):
+        if any(map(lt, freqs, repeat(1))):
             raise ValueError("every frequency must be at least 1")
         if sum(freqs) != TOTAL:
             raise ValueError(f"frequencies must sum to {TOTAL}, got {sum(freqs)}")
-        cum = [0]
-        for f in freqs:
-            cum.append(cum[-1] + f)
-        return cls(freqs=freqs, cum=tuple(cum))
+        return cls(freqs=freqs, cum=tuple(accumulate(freqs, initial=0)))
 
     def __len__(self) -> int:
         return len(self.freqs)
@@ -60,7 +59,7 @@ def quantize(weights: Sequence[float]) -> tuple[int, ...]:
     """
     if not weights:
         raise ValueError("no weights to quantize")
-    if any(w < 0 for w in weights):
+    if any(map(lt, weights, repeat(0))):
         raise ValueError("negative weight")
     mass = float(sum(weights))
     if mass <= 0.0:
@@ -71,11 +70,12 @@ def quantize(weights: Sequence[float]) -> tuple[int, ...]:
     base = [max(1, int(r)) for r in raw]
     leftover = TOTAL - sum(base)
     if leftover > 0:
-        order = sorted(range(len(raw)), key=lambda i: (-(raw[i] - int(raw[i])), i))
+        remainders = [r - int(r) for r in raw]
+        order = sorted(range(len(raw)), key=remainders.__getitem__, reverse=True)
         for i in order[:leftover]:
             base[i] += 1
     while leftover < 0:
-        i = max(range(len(base)), key=lambda i: (base[i], -i))
+        i = base.index(max(base))
         if base[i] <= 1:
             raise AssertionError("cannot reclaim below the floor of 1")
         base[i] -= 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .model import BOS, Alphabet, ContextModel, serialize_model
@@ -160,9 +161,7 @@ def gen_iid(source: IidSource, n: int, seed: int) -> str:
     if n < 0:
         raise ValueError("n must be >= 0")
     rng = SplitMix64(seed)
-    cum = [0.0]
-    for p in source.probs:
-        cum.append(cum[-1] + p)
+    cum = list(accumulate(source.probs, initial=0.0))
     cum[-1] = 1.0
     glyphs = source.glyphs
     return "".join(glyphs[_pick(cum, rng.uniform())] for _ in range(n))
@@ -175,9 +174,7 @@ def gen_markov(chain: ChainSource, n: int, seed: int) -> str:
     rng = SplitMix64(seed)
     cums: dict[str, list[float]] = {}
     for state, row in chain.rows.items():
-        cum = [0.0]
-        for _, p, _ in row:
-            cum.append(cum[-1] + p)
+        cum = list(accumulate((p for _, p, _ in row), initial=0.0))
         cum[-1] = 1.0
         cums[state] = cum
     out = []

@@ -98,13 +98,11 @@ class Alphabet:
 
     def encode(self, text: str) -> list[int]:
         ids = self._ids
-        out = []
-        for pos, ch in enumerate(text):
-            sym = ids.get(ch)
-            if sym is None:
-                raise UnknownCharacterError(ch, pos)
-            out.append(sym)
-        return out
+        try:
+            return [ids[ch] for ch in text]
+        except KeyError:
+            pos = next(i for i, ch in enumerate(text) if ch not in ids)
+            raise UnknownCharacterError(text[pos], pos) from None
 
     def decode(self, syms: Iterable[int]) -> str:
         return "".join(self.glyph_of(s) for s in syms)
@@ -240,6 +238,8 @@ def train(
     """
     if not corpus:
         raise ValueError("empty corpus")
+    if not 0 <= order <= MAX_ORDER:  # counting takes memory in proportion to the order
+        raise ValueError(f"order {order} is not in 0..{MAX_ORDER}")
     if alphabet is None:
         alphabet = build_alphabet(corpus)
     ids = alphabet.encode(corpus)
@@ -265,17 +265,19 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
         counts = model.tables[j].get(key[model.order - j :])
         if counts:
             break
-    probs = [0.0] * n
     beta = model.smoothing
+    total = sum(counts.values())
     if beta:
-        total = sum(counts.values()) + beta * (n - 1)
-        for sym in range(1, n):
-            probs[sym] = (counts.get(sym, 0) + beta) / total
-    else:
-        total = sum(counts.values())
+        total += beta * (n - 1)
+        probs = [beta / total] * n
+        probs[BOS] = 0.0
         for sym, c in counts.items():
-            probs[sym] = c / total
-    return Distribution(tuple(probs))
+            probs[sym] = (c + beta) / total
+    else:
+        probs = [0.0] * n
+        for sym, c in counts.items():
+            probs[sym] = c / total  # int / int is exact; c + 0.0 rounds past 2**53
+    return Distribution(probs)
 
 
 class _Cursor:

@@ -126,7 +126,6 @@ def encode_document(
     syms = model.alphabet.encode(text)
     plans = _PlanCache(model, params, lossless)
     enc = Encoder()
-    kept_count = 0
     skipped = 0
     history: list[int] = []
     for sym in syms:
@@ -136,11 +135,10 @@ def encode_document(
             skipped += 1
         else:
             enc.encode(table, idx)
-            kept_count += 1
         history.append(sym)
-    payload, bit_count = enc.finish()
-    hints = HintsFile(payload=payload, bit_count=bit_count)
-    return hints, EncodeReport(kept=kept_count, skipped=skipped, bit_count=bit_count)
+    hints = HintsFile(*enc.finish())
+    report = EncodeReport(kept=len(syms) - skipped, skipped=skipped, bit_count=hints.bit_count)
+    return hints, report
 
 
 class DecoderSession:
@@ -161,7 +159,6 @@ class DecoderSession:
     ):
         payload = hints.payload if isinstance(hints, HintsFile) else bytes(hints)
         self.model = model
-        self.params = params
         self._plans = _PlanCache(model, params, lossless)
         self._decoder = Decoder(payload)
         self.history: list[int] = []

@@ -93,17 +93,14 @@ class KeptSet:
 
 
 def _make_kept(members: list[int], probs: tuple[float, ...]) -> KeptSet:
-    mass = sum(probs[i] for i in members)
-    return KeptSet(
-        members=tuple(members),
-        renorm=tuple(probs[i] / mass for i in members),
-        mass=mass,
-    )
+    mass = sum(map(probs.__getitem__, members))
+    return KeptSet(tuple(members), tuple([probs[i] / mass for i in members]), mass)
 
 
 def _ranked(probs: tuple[float, ...]) -> list[int]:
-    """Positive-probability ids, highest probability first, ties by ascending id."""
-    ranked = sorted((i for i, p in enumerate(probs) if p > 0.0), key=lambda i: (-probs[i], i))
+    """Positive-probability ids, highest first; a stable sort keeps tied ids ascending."""
+    ranked = [i for i, p in enumerate(probs) if p > 0.0]
+    ranked.sort(key=probs.__getitem__, reverse=True)
     if not ranked:
         raise ValueError("distribution has empty support")
     return ranked

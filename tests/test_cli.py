@@ -1,8 +1,12 @@
 import math
 import os
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rwc.cli import main
 from rwc.harness import evaluate, model_from_chain, two_state_chain
@@ -110,6 +114,13 @@ class TestTrain:
         assert (tmp_path / "model.rwc.tmp").read_bytes() == b"the user's own file"
         assert sorted(os.listdir(tmp_path)) == ["corpus.txt", "model.rwc", "model.rwc.tmp"]
 
+    def test_missing_output_directory_names_the_given_path(self, tmp_path, capsys):
+        out_path = str(tmp_path / "no" / "such" / "x")
+        code, _, err = run(capsys, "gen", "eta", "10", "--out", out_path)
+        assert code == 2
+        assert err == f"error: missing file: {out_path}\n"
+        assert ".tmp" not in err
+
     def test_failed_rename_removes_the_temp_file(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("ABAB", encoding="utf-8")
@@ -215,6 +226,23 @@ class TestScoreEval:
         assert code == 1
         assert "hint-bytes" in err or "hints" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["-L", "3", "--hints", "h"],
+            ["-L", "3", "--hints", "missing"],
+            ["-L", "3", "--model-bytes", "10", "--model", "h"],
+            ["--hints", "h", "--model-bytes", "10", "--model", "missing"],
+        ],
+    )
+    def test_score_refuses_a_number_and_a_file_for_one_value(self, tmp_path, capsys, flags):
+        (tmp_path / "h").write_bytes(b"\x77" * 6)
+        argv = [str(tmp_path / f) if f in ("h", "missing") else f for f in flags]
+        code, out, err = run(capsys, "score", "-E", "1", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: give ") and err.endswith(", not both\n")
+
     def test_eval_first_line_is_the_summary(self, chain_files, capsys):
         _, model, text = chain_files
         code, out, _ = run(capsys, "eval", model, text)
@@ -293,3 +321,102 @@ class TestConfig:
         run(capsys, "gen", "bytes", "64", "--out", str(default))
         run(capsys, "gen", "bytes", "64", "--seed", "0xDEADBEEF", "--out", str(explicit))
         assert default.read_bytes() == explicit.read_bytes()
+
+
+CHAIN_BLOB = serialize_model(model_from_chain(two_state_chain()))
+
+# A path argument names a file with one of these contents, a missing file or
+# a directory. An output path is a new file, one in a missing directory, or a
+# directory.
+INPUTS = st.one_of(
+    st.binary(max_size=40),
+    st.just(CHAIN_BLOB),
+    st.integers(0, len(CHAIN_BLOB) - 1).map(lambda n: CHAIN_BLOB[:n]),
+    st.just(b""),
+    st.just(b"ETAHTETTT"),
+    st.just(b"ET\xff\xfeAH"),
+    st.sampled_from(["missing", "directory"]),
+)
+OUTPUTS = st.sampled_from(["out", "no/such/out", "directory"])
+ORDERS = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(["1000000000", "x", "2.5"]))
+SMOOTHINGS = st.sampled_from(["0", "0.1", "-1", "nan", "inf", "-inf", "1e308", "-0.0", "x"])
+SEEDS = st.sampled_from(["0", "-1", "0xDEADBEEF", str(2**80), "junk"])
+NUMBERS = st.sampled_from(["0", "3", "-1", "x"])
+
+
+@st.composite
+def invocations(draw):
+    """argv for one subcommand; ("in", contents) and ("out", name) stand for paths."""
+    def src():
+        return ("in", draw(INPUTS))
+
+    def dst():
+        return ("out", draw(OUTPUTS))
+
+    def maybe(*flags):
+        return list(flags) if draw(st.booleans()) else []
+
+    cmd = draw(st.sampled_from(
+        ["alpha", "train", "encode", "decode", "trace", "score", "eval", "gen", "analyze"]
+    ))
+    if cmd == "train":
+        return [cmd, src(), dst(), *maybe("-k", draw(ORDERS)), *maybe("-b", draw(SMOOTHINGS))]
+    if cmd == "encode":
+        return [cmd, src(), src(), dst()]
+    if cmd == "decode":
+        return [cmd, src(), src(), src(), *maybe("--out", dst())]
+    if cmd == "trace":
+        return [cmd, src(), src(), src(), *maybe("--ansi")]
+    if cmd == "score":
+        return [cmd, "-E", draw(NUMBERS), *maybe("-L", draw(NUMBERS)), *maybe("--hints", src()),
+                *maybe("--model", src()), *maybe("--model-bytes", draw(NUMBERS))]
+    if cmd == "eval":
+        return [cmd, src(), src()]
+    if cmd == "gen":
+        kind = draw(st.sampled_from(["eta", "chain", "bytes"]))
+        count = draw(st.sampled_from(["-1", "0", "7", "300", "1e3"]))
+        return [cmd, kind, count, *maybe("--seed", draw(SEEDS)), *maybe("--out", dst())]
+    if cmd == "analyze":
+        return [cmd, src()]
+    return [cmd]
+
+
+def materialize(argv, root):
+    out = []
+    for i, arg in enumerate(argv):
+        if isinstance(arg, tuple):
+            _, what = arg
+            if what in ("missing", "directory", "out", "no/such/out"):
+                arg = str(root / what)
+            else:
+                (root / f"in{i}").write_bytes(what)
+                arg = str(root / f"in{i}")
+        out.append(arg)
+    return out
+
+
+@settings(
+    max_examples=300,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(invocations())
+def test_no_subcommand_ends_in_an_uncaught_exception(capsysbinary, argv):
+    """Any input gives a documented exit code (0-4) or an argparse usage error,
+    never a traceback, and no temp file is left behind."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "directory").mkdir()
+        try:
+            code = main(materialize(argv, root))
+        except SystemExit as exc:
+            code = None
+            assert exc.code == 2
+        _, err = capsysbinary.readouterr()
+        assert not list(root.rglob("*.tmp"))
+    if code is None:
+        assert err.startswith(b"usage: rwc")
+    else:
+        assert code in range(5)
+        assert (code == 0) == (not err)
+        if code:
+            assert err.startswith(b"error: ")
