@@ -58,16 +58,15 @@ def _write_atomic(path: str, data: bytes) -> None:
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:  # e.g. a missing directory: name the path the caller gave
-        exc.filename = path
-        raise
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:  # e.g. a missing directory, or `path` is one: name `path`, not `tmp`
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _load_model(path: str):
@@ -94,7 +93,7 @@ def cmd_encode(args) -> int:
     hints, report = encode_document(model, SelectorParams.default(), _read_text(args.text))
     _write_atomic(args.out, hints.payload)
     print(
-        f"L={hints.byte_length} bits={report.bit_count}"
+        f"L={hints.byte_length} bits={hints.bit_count}"
         f" kept={report.kept} skipped={report.skipped}"
     )
     return 0

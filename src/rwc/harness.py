@@ -49,12 +49,15 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class ScoreReport:
-    """2L+E accounting for one evaluation run."""
+    """2L+E accounting for one evaluation run.
+
+    Every position the encoder skipped is one wrong guess, so `errors` is
+    also the skipped count.
+    """
 
     hint_bytes: int
     errors: int
     kept: int = 0
-    skipped: int = 0
     model_bytes: int | None = None
 
     def __post_init__(self):
@@ -77,7 +80,7 @@ class ScoreReport:
 
     def lines(self) -> list[str]:
         """Line-oriented key=value report; the first line is the score summary."""
-        out = [self.summary_line(), f"kept={self.kept}", f"skipped={self.skipped}"]
+        out = [self.summary_line(), f"kept={self.kept}", f"skipped={self.errors}"]
         if self.model_bytes is not None:
             out.append(f"model_bytes={self.model_bytes}")
             out.append(f"score_with_model={self.score_with_model}")
@@ -104,7 +107,6 @@ def evaluate(
             errors=trace.errors,
             model_bytes=len(serialize_model(model)),
             kept=report.kept,
-            skipped=report.skipped,
         ),
         trace,
     )

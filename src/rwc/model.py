@@ -15,7 +15,7 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 BOS = 0  # reserved begin-of-stream id; pads contexts, never occurs in text
 
@@ -103,9 +103,6 @@ class Alphabet:
         except KeyError:
             pos = next(i for i, ch in enumerate(text) if ch not in ids)
             raise UnknownCharacterError(text[pos], pos) from None
-
-    def decode(self, syms: Iterable[int]) -> str:
-        return "".join(self.glyph_of(s) for s in syms)
 
 
 def build_alphabet(corpus: str) -> Alphabet:
@@ -280,21 +277,7 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
     return Distribution(probs)
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, fmt: str) -> tuple:
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise TruncatedModelError("model file truncated")
-        vals = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return vals
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+_PAIR = struct.Struct("<IQ")  # (symbol id, count), one per row entry
 
 
 def serialize_model(model: ContextModel) -> bytes:
@@ -320,7 +303,7 @@ def serialize_model(model: ContextModel) -> bytes:
         row = table[ctx]
         out += struct.pack("<I", len(row))
         for sym in sorted(row):
-            out += struct.pack("<IQ", sym, row[sym])
+            out += _PAIR.pack(sym, row[sym])
     return bytes(out)
 
 
@@ -332,32 +315,38 @@ def parse_model(data: bytes) -> ContextModel:
         raise BadMagicError("not a model file (bad magic)")
     if data[3:4] != _VERSION:
         raise UnsupportedVersionError(f"unsupported model version {data[3:4]!r}")
-    cur = _Cursor(data)
-    cur.pos = 4
-    order, smoothing = cur.take("<Id")
-    (n_glyphs,) = cur.take("<I")
-    glyphs = []
-    for _ in range(n_glyphs):
-        (cp,) = cur.take("<I")
-        if cp > sys.maxunicode:
-            raise ModelFormatError(f"invalid glyph code point {cp:#x}")
-        glyphs.append(chr(cp))
-    (n_ctx,) = cur.take("<Q")
-    table: Table = {}
-    ctx_format = f"<{order}I"
-    for _ in range(n_ctx):
-        ctx = cur.take(ctx_format)
-        (n_row,) = cur.take("<I")
-        row: Counts = {}
-        for _ in range(n_row):
-            sym, count = cur.take("<IQ")
-            row[sym] = count
-        if len(row) != n_row:
-            raise ModelFormatError(f"context {ctx} lists a symbol twice")
-        table[ctx] = row
+    unpack_from, unpack_pair = struct.unpack_from, _PAIR.unpack_from
+    try:  # every unpack_from raises struct.error when it would read past the end
+        order, smoothing, n_glyphs = unpack_from("<IdI", data, 4)
+        pos = 20  # magic and version (4), order, smoothing and glyph count (16)
+        glyphs = []
+        for _ in range(n_glyphs):
+            (cp,) = unpack_from("<I", data, pos)
+            pos += 4
+            if cp > sys.maxunicode:
+                raise ModelFormatError(f"invalid glyph code point {cp:#x}")
+            glyphs.append(chr(cp))
+        (n_ctx,) = unpack_from("<Q", data, pos)
+        pos += 8
+        table: Table = {}
+        ctx_struct = struct.Struct(f"<{order}I")
+        for _ in range(n_ctx):
+            ctx = ctx_struct.unpack_from(data, pos)
+            (n_row,) = unpack_from("<I", data, pos + ctx_struct.size)
+            pos += ctx_struct.size + 4
+            row: Counts = {}
+            for _ in range(n_row):
+                sym, count = unpack_pair(data, pos)
+                pos += 12
+                row[sym] = count
+            if len(row) != n_row:
+                raise ModelFormatError(f"context {ctx} lists a symbol twice")
+            table[ctx] = row
+    except struct.error:
+        raise TruncatedModelError("model file truncated") from None
     if len(table) != n_ctx:
         raise ModelFormatError("a context is listed twice")
-    if not cur.done():
+    if pos != len(data):
         raise ModelFormatError("trailing data after model")
     try:
         return ContextModel(Alphabet(tuple(glyphs)), order, smoothing, table)

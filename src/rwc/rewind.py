@@ -1,12 +1,13 @@
 """The encode/decode pipeline: hints files and the guess/reveal decoder.
 
 Encoding walks the text once. At each position the model predicts a
-distribution from the true history, the selector picks the kept subset, and
-the character is arithmetic-coded only if it is kept; dropped characters cost
-nothing here and become wrong guesses later.
+distribution from the order-k context of the true text, the selector picks
+the kept subset, and the character is arithmetic-coded only if it is kept;
+dropped characters cost nothing here and become wrong guesses later. The walk
+carries only that context, so its state does not grow with the document.
 
 Decoding mirrors the walk. Each guess is decoded from the hints stream under
-the same kept set (both sides derive it from the same revealed history). A
+the same kept set (both sides derive it from the same revealed context). A
 correct guess commits the consumed bits. A wrong guess means the decoded hint
 symbol belongs to some later position, so the coder is rewound to its
 checkpoint and the same bits are reinterpreted once the context has grown by
@@ -15,11 +16,11 @@ the revealed true character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coder import Decoder, Encoder, FrequencyTable, quantize
 from .model import ContextModel, UnknownCharacterError, context_key, predict
-from .selector import KeptSet, SelectorParams, full_support, select_kept
+from .selector import SelectorParams, full_support, select_kept
 
 
 @dataclass(frozen=True)
@@ -49,16 +50,14 @@ class HintsFile:
 class EncodeReport:
     kept: int
     skipped: int
-    bit_count: int
 
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """One reveal: the guess, the true character, and the hint bits it kept."""
+    """One reveal: the guess and the true character."""
 
     guessed: str
     truth: str
-    bits_consumed_net: int
 
     @property
     def correct(self) -> bool:
@@ -88,31 +87,31 @@ class DecodeTrace:
         return "".join(s.truth for s in self.steps)
 
 
-class _PlanCache:
-    """Per-context kept set, frequency table, and member lookup.
+class _PlanCache(dict):
+    """Order-k context -> plan, built on the first lookup of the context.
 
-    Both encoder and decoder build plans through this class from the same
-    (model, params), so their kept sets agree at every position by
-    construction. Contexts repeat constantly, hence the cache.
+    A plan is the kept member ids in kept order, their frequency table, and
+    each member's index in that order. Both encoder and decoder build plans
+    through this class from the same (model, params), so their kept sets
+    agree at every position by construction. Contexts repeat constantly, so
+    after its first lookup a plan is one dict entry.
     """
 
     def __init__(self, model: ContextModel, params: SelectorParams, lossless: bool):
+        super().__init__()
         self.model = model
         self.params = params
         self.lossless = lossless
-        self._plans: dict[tuple[int, ...], tuple[KeptSet, FrequencyTable, dict[int, int]]] = {}
 
-    def plan(self, history: list[int]) -> tuple[KeptSet, FrequencyTable, dict[int, int]]:
-        key = context_key(self.model.order, history)
-        cached = self._plans.get(key)
-        if cached is None:
-            dist = predict(self.model, key)
-            kept = full_support(dist) if self.lossless else select_kept(dist, self.params)
-            table = FrequencyTable.from_freqs(quantize(kept.renorm))
-            index_of = {sym: i for i, sym in enumerate(kept.members)}
-            cached = (kept, table, index_of)
-            self._plans[key] = cached
-        return cached
+    def __missing__(
+        self, ctx: tuple[int, ...]
+    ) -> tuple[tuple[int, ...], FrequencyTable, dict[int, int]]:
+        dist = predict(self.model, ctx)
+        kept = full_support(dist) if self.lossless else select_kept(dist, self.params)
+        table = FrequencyTable.from_freqs(quantize(kept.renorm))
+        members = kept.members
+        plan = self[ctx] = (members, table, {sym: i for i, sym in enumerate(members)})
+        return plan
 
 
 def encode_document(
@@ -127,18 +126,16 @@ def encode_document(
     plans = _PlanCache(model, params, lossless)
     enc = Encoder()
     skipped = 0
-    history: list[int] = []
+    ctx = context_key(model.order, ())
     for sym in syms:
-        _, table, index_of = plans.plan(history)
+        _, table, index_of = plans[ctx]
         idx = index_of.get(sym)
         if idx is None:
             skipped += 1
         else:
             enc.encode(table, idx)
-        history.append(sym)
-    hints = HintsFile(*enc.finish())
-    report = EncodeReport(kept=len(syms) - skipped, skipped=skipped, bit_count=hints.bit_count)
-    return hints, report
+        ctx = (ctx + (sym,))[1:]
+    return HintsFile(*enc.finish()), EncodeReport(kept=len(syms) - skipped, skipped=skipped)
 
 
 class DecoderSession:
@@ -146,7 +143,8 @@ class DecoderSession:
 
     next_guess() decodes one symbol (idempotently; the guess is pinned until
     revealed). reveal(truth) either commits the guess or rewinds the coder,
-    and always extends the history with the truth.
+    and always shifts the truth into the order-k context. The session's
+    state is that context and the coder, plus a position for error messages.
     """
 
     def __init__(
@@ -161,31 +159,29 @@ class DecoderSession:
         self.model = model
         self._plans = _PlanCache(model, params, lossless)
         self._decoder = Decoder(payload)
-        self.history: list[int] = []
+        self._ctx = context_key(model.order, ())
+        self._position = 0
         self._pending: tuple[int, tuple[int, int, int, int]] | None = None
 
     def next_guess(self) -> str:
         if self._pending is None:
-            kept, table, _ = self._plans.plan(self.history)
+            members, table, _ = self._plans[self._ctx]
             state = self._decoder.checkpoint()
-            idx = self._decoder.decode(table)
-            self._pending = (kept.members[idx], state)
+            self._pending = (members[self._decoder.decode(table)], state)
         return self.model.alphabet.glyph_of(self._pending[0])
 
     def reveal(self, truth: str) -> StepOutcome:
         guessed = self.next_guess()
         guess_sym, state = self._pending
         if truth not in self.model.alphabet:
-            raise UnknownCharacterError(truth, len(self.history))
+            raise UnknownCharacterError(truth, self._position)
         truth_sym = self.model.alphabet.id_of(truth)
-        if truth_sym == guess_sym:
-            net = self._decoder.bits_read - state[3]
-        else:
+        if truth_sym != guess_sym:
             self._decoder.restore(state)
-            net = 0
-        self.history.append(truth_sym)
+        self._ctx = (self._ctx + (truth_sym,))[1:]
+        self._position += 1
         self._pending = None
-        return StepOutcome(guessed=guessed, truth=truth, bits_consumed_net=net)
+        return StepOutcome(guessed=guessed, truth=truth)
 
 
 def run_trace(

@@ -64,14 +64,13 @@ def solve_alpha(tol: float = ALPHA_DEFAULT_TOL) -> float:
 
 @dataclass(frozen=True)
 class SelectorParams:
-    """Threshold constant and the tolerance it was solved to."""
+    """The kept-set threshold constant alpha."""
 
     alpha: float
-    tol: float = ALPHA_DEFAULT_TOL
 
     @classmethod
-    def default(cls, tol: float = ALPHA_DEFAULT_TOL) -> "SelectorParams":
-        return cls(alpha=solve_alpha(tol), tol=tol)
+    def default(cls) -> "SelectorParams":
+        return cls(alpha=solve_alpha())
 
 
 @dataclass(frozen=True)

@@ -270,8 +270,8 @@ def test_criterion_11_desk_scale_corpus():
         assert report.score == 2 * report.hint_bytes + report.errors
         assert report.summary_line().startswith(f"L={report.hint_bytes} E={report.errors}")
         flags = _skipped_flags(model, held_out)
-        assert trace.errors == sum(flags) == report.skipped
+        hints, encoded = encode_document(model, PARAMS, held_out)
+        assert trace.errors == sum(flags) == encoded.skipped == report.errors
         for step, skipped in zip(trace.steps, flags):
             assert step.correct == (not skipped)
-        hints, _ = encode_document(model, PARAMS, held_out)
         assert run_trace(model, PARAMS, hints, held_out) == trace

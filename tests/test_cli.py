@@ -128,6 +128,7 @@ class TestTrain:
         code, _, err = run(capsys, "train", str(corpus), str(tmp_path / "taken"))
         assert code == 1
         assert err.startswith("error: ")
+        assert f"'{tmp_path / 'taken'}'" in err and ".tmp" not in err
         assert sorted(os.listdir(tmp_path)) == ["corpus.txt", "taken"]
 
 

@@ -108,7 +108,6 @@ class TestDecoderSession:
         trace = run_trace(eta_model, params, hints, "AAA")
         assert trace.errors == 3
         assert all(s.rewound for s in trace.steps)
-        assert all(s.bits_consumed_net == 0 for s in trace.steps)
 
     def test_accepts_hints_object_or_raw_bytes(self, chain_model, params):
         hints, _ = encode_document(chain_model, params, "ETAHTETTT")

@@ -61,7 +61,7 @@ class TestSolveAlpha:
 
     def test_params_default_carries_alpha(self):
         p = SelectorParams.default()
-        assert p.alpha == solve_alpha(p.tol)
+        assert p.alpha == solve_alpha()
 
 
 class TestMarginalF:
