@@ -45,20 +45,26 @@ def main(argv=None):
     parser.add_argument("--train-frac", type=float, default=0.9)
     args = parser.parse_args(argv)
 
-    corpus = load_corpus(args)
     if not 0.0 < args.train_frac < 1.0:
         parser.error("--train-frac must be strictly between 0 and 1")
+    try:
+        corpus = load_corpus(args)
+    except (OSError, ValueError) as exc:  # unreadable file, bad UTF-8, bad --chars
+        parser.error(f"corpus: {exc}")
     split = int(len(corpus) * args.train_frac)
     train_slice, held_out = corpus[:split], corpus[split:]
     if not train_slice or not held_out:
         parser.error("corpus too small for the requested split")
 
+    start = time.perf_counter()
+    try:
+        model = train(train_slice, args.order, args.smoothing, alphabet=build_alphabet(corpus))
+    except ValueError as exc:  # an order or smoothing the model refuses
+        parser.error(str(exc))
+    trained = time.perf_counter()
+
     print(f"corpus: {len(corpus)} chars, {len(set(corpus))} distinct")
     print(f"train: {len(train_slice)} chars  held out: {len(held_out)} chars")
-
-    start = time.perf_counter()
-    model = train(train_slice, args.order, args.smoothing, alphabet=build_alphabet(corpus))
-    trained = time.perf_counter()
     report, _ = evaluate(model, SelectorParams.default(), held_out)
     done = time.perf_counter()
 

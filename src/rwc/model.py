@@ -112,9 +112,16 @@ def build_alphabet(corpus: str) -> Alphabet:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Per-symbol probabilities, indexed by symbol id (entry 0 is the sentinel)."""
+    """Per-symbol probabilities, indexed by symbol id (entry 0 is the sentinel).
+
+    `predict` also records `_head`: the ids above the smoothing floor, ranked
+    by probability (ties ascending). Every other positive id has the floor
+    probability, so the selector ranks only the head. A distribution built by
+    hand has no head and is ranked in full.
+    """
 
     probs: tuple[float, ...]
+    _head: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "probs", tuple(self.probs))
@@ -254,7 +261,9 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
     Uses the longest trained suffix of the BOS-padded history and applies
     additive smoothing over the non-sentinel alphabet at that order. The
     order-0 row is never empty, so some suffix always matches. The sentinel
-    always gets probability 0.
+    always gets probability 0. Only the matched row's ids can rise above the
+    floor that every unseen id gets (beta/total, or 0 without smoothing), so
+    only they are ranked into the head.
     """
     n = model.alphabet.size
     key = context_key(model.order, history)
@@ -266,15 +275,21 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
     total = sum(counts.values())
     if beta:
         total += beta * (n - 1)
-        probs = [beta / total] * n
+        floor = beta / total
+        probs = [floor] * n
         probs[BOS] = 0.0
         for sym, c in counts.items():
             probs[sym] = (c + beta) / total
     else:
+        floor = 0.0
         probs = [0.0] * n
         for sym, c in counts.items():
             probs[sym] = c / total  # int / int is exact; c + 0.0 rounds past 2**53
-    return Distribution(probs)
+    head = sorted([sym for sym in counts if probs[sym] > floor])
+    head.sort(key=probs.__getitem__, reverse=True)  # stable: ties stay ascending
+    dist = Distribution(probs)
+    object.__setattr__(dist, "_head", tuple(head))
+    return dist
 
 
 _PAIR = struct.Struct("<IQ")  # (symbol id, count), one per row entry

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .model import Distribution
 
@@ -87,7 +88,9 @@ class KeptSet:
             raise ValueError("kept set cannot be empty")
         if len(self.renorm) != len(self.members):
             raise ValueError("renorm length mismatch")
-        if abs(sum(self.renorm) - 1.0) > 1e-12:
+        # The mass and the renorm sum each round by up to 2**-53 per member,
+        # so n members may leave the sum off by about n * 2**-52.
+        if abs(sum(self.renorm) - 1.0) > max(1e-12, len(self.members) * 2**-52):
             raise ValueError("renormalized probabilities must sum to 1")
 
 
@@ -96,13 +99,23 @@ def _make_kept(members: list[int], probs: tuple[float, ...]) -> KeptSet:
     return KeptSet(tuple(members), tuple([probs[i] / mass for i in members]), mass)
 
 
-def _ranked(probs: tuple[float, ...]) -> list[int]:
-    """Positive-probability ids, highest first; a stable sort keeps tied ids ascending."""
+def _ranked(dist: Distribution) -> Iterator[int]:
+    """Positive-probability ids, highest first, tied ids ascending.
+
+    A distribution from `predict` yields its head, then lazily every other
+    positive id in ascending order: those all share the floor probability,
+    which is the order a stable sort of every id gives them. A hand-built
+    one is sorted in full.
+    """
+    probs, head = dist.probs, dist._head
+    if head is not None:
+        seen = set(head)
+        return chain(head, (i for i, p in enumerate(probs) if p > 0.0 and i not in seen))
     ranked = [i for i, p in enumerate(probs) if p > 0.0]
     ranked.sort(key=probs.__getitem__, reverse=True)
     if not ranked:
         raise ValueError("distribution has empty support")
-    return ranked
+    return iter(ranked)
 
 
 def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
@@ -114,10 +127,11 @@ def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
     symbols are never kept.
     """
     probs = dist.probs
-    ranked = _ranked(probs)
-    members = [ranked[0]]
-    mass = probs[ranked[0]]
-    for i in ranked[1:]:
+    ranked = _ranked(dist)
+    first = next(ranked)
+    members = [first]
+    mass = probs[first]
+    for i in ranked:
         if probs[i] < params.alpha * mass:
             break
         members.append(i)
@@ -127,7 +141,7 @@ def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
 
 def full_support(dist: Distribution) -> KeptSet:
     """Every positive-probability symbol, highest first: the lossless kept set."""
-    return _make_kept(_ranked(dist.probs), dist.probs)
+    return _make_kept(list(_ranked(dist)), dist.probs)
 
 
 def subset_cost(dist: Distribution, members: Iterable[int]) -> float:

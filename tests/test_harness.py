@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+import rwc.rewind
 from rwc.harness import (
     ACCEPTANCE_SEED,
     ChainSource,
@@ -18,7 +19,8 @@ from rwc.harness import (
     two_state_chain,
     uniform_byte_model,
 )
-from rwc.model import predict, serialize_model
+from rwc.coder import FrequencyTable
+from rwc.model import context_key, predict, serialize_model, train
 
 
 class TestSplitMix64:
@@ -173,6 +175,33 @@ class TestEvaluate:
         assert report.model_bytes == len(serialize_model(eta_model))
         expected = 2 * (report.hint_bytes + report.model_bytes) + report.errors
         assert report.score_with_model == expected
+
+    @pytest.mark.parametrize("lossless", [False, True])
+    def test_plan_stages_run_once_per_context_per_walk(self, monkeypatch, params, lossless):
+        # Per-layer tracing times a plan build by wrapping these globals, so
+        # every build must call each stage through them: once per distinct
+        # context in the encode walk and once more in the decode walk.
+        corpus = "the cat sat on the mat; the rat ate the hat."
+        model = train(corpus, 3, 0.1)
+        text = corpus[::-1]
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        for name in ("predict", "select_kept", "full_support", "quantize"):
+            monkeypatch.setattr(rwc.rewind, name, counting(name, getattr(rwc.rewind, name)))
+        from_freqs = counting("from_freqs", FrequencyTable.from_freqs)
+        monkeypatch.setattr(FrequencyTable, "from_freqs", staticmethod(from_freqs))
+        evaluate(model, params, text, lossless=lossless)
+        syms = model.alphabet.encode(text)
+        contexts = {context_key(3, syms[:i]) for i in range(len(syms))}
+        select = "full_support" if lossless else "select_kept"
+        stages = ("predict", select, "quantize", "from_freqs")
+        assert calls == {name: 2 * len(contexts) for name in stages}
 
 
 class TestFixtureModels:

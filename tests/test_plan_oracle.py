@@ -6,6 +6,11 @@ versions of those stages: a full loop over the alphabet in `predict`, a
 tuple-keyed sort in `_ranked`, and plain loops in `quantize` and `from_freqs`.
 The library versions must return the same values to the bit, and raise the
 same exception type wherever an oracle raises.
+
+`predict` also hands the selector a ranked head of the seen ids, and the
+selector walks it before the ids at the floor. A hand-built `Distribution`
+has no head, so the selector sorts it in full; that dense path is the oracle
+for the head path.
 """
 
 import math
@@ -204,6 +209,72 @@ def test_counts_past_two_to_the_53_divide_exactly():
     m = ContextModel(a, 0, 0.0, {(): {1: 2**53 + 1, 2: 2**62 + 3}})
     assert bits(predict(m, []).probs) == bits(oracle_predict(m, []).probs)
     assert predict(m, []).probs[1] != (2**53 + 1 + 0.0) / (2**53 + 2**62 + 4)
+
+
+# --- the ranked head against the dense ranking -------------------------------
+
+# 2**60 swamps any count up to 9 (c + beta == beta), so those seen ids tie with
+# the floor; 5e-324 rounds the floor itself to 0, so unseen ids drop out.
+HEAD_SMOOTHINGS = [0.0, 0.1, 1e12, 2.0**60, 5e-324]
+
+
+@st.composite
+def head_models(draw):
+    n_glyphs = draw(st.integers(1, 6))
+    order = draw(st.integers(0, 2))
+    smoothing = draw(st.sampled_from(HEAD_SMOOTHINGS))
+    sym = st.integers(1, n_glyphs)
+    count = st.one_of(st.integers(1, 9), st.integers(1, MAX_COUNT), st.just(MAX_COUNT))
+    row = st.one_of(
+        st.dictionaries(sym, count, min_size=1, max_size=1),
+        st.dictionaries(sym, count, min_size=1),
+        st.fixed_dictionaries({s: count for s in range(1, n_glyphs + 1)}),
+    )
+    contexts = st.lists(st.integers(0, n_glyphs), min_size=order, max_size=order).map(tuple)
+    table = draw(st.dictionaries(contexts, row, min_size=1, max_size=6))
+    alphabet = Alphabet(tuple(chr(0x41 + i) for i in range(n_glyphs)))
+    return ContextModel(alphabet, order, smoothing, table)
+
+
+def assert_head_ranks_as_dense(model, history):
+    """The head path of `predict`'s output plans exactly as the dense path of a
+    hand-built copy, which has no head."""
+    dist = predict(model, history)
+    dense = Distribution(dist.probs)
+    assert dist._head is not None and dense._head is None
+    assert dist == dense and repr(dist) == repr(dense)
+    assert outcome(full_support, dist) == outcome(full_support, dense)
+    assert outcome(select_kept, dist, PARAMS) == outcome(select_kept, dense, PARAMS)
+
+
+@settings(max_examples=400)
+@given(head_models(), st.data())
+def test_head_plans_equal_dense_plans(model, data):
+    n = model.alphabet.size
+    for _ in range(3):
+        assert_head_ranks_as_dense(model, data.draw(st.lists(st.integers(1, n - 1), max_size=4)))
+    for ctx in model.counts:
+        assert_head_ranks_as_dense(model, list(ctx))
+
+
+def test_seen_ids_swamped_by_smoothing_rank_in_the_tail():
+    # c + beta == beta for both seen ids, so all five ids tie at the floor and
+    # the ranking is ascending id, the same as the dense stable sort.
+    a = Alphabet(tuple("ABCDE"))
+    m = ContextModel(a, 0, 2.0**60, {(): {4: 3, 2: 1}})
+    dist = predict(m, [])
+    assert dist._head == ()
+    assert full_support(dist).members == (1, 2, 3, 4, 5)
+    assert_head_ranks_as_dense(m, [])
+
+
+def test_head_ranks_seen_ids_by_probability_then_id():
+    a = Alphabet(tuple("ABCDE"))
+    m = ContextModel(a, 0, 0.5, {(): {5: 2, 3: 7, 1: 2}})
+    dist = predict(m, [])
+    assert dist._head == (3, 1, 5)
+    assert full_support(dist).members == (3, 1, 5, 2, 4)
+    assert_head_ranks_as_dense(m, [])
 
 
 # --- hand-built distributions -----------------------------------------------

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -28,3 +30,26 @@ def test_corpus_eval_prints_the_score_summary():
     done = run_script("corpus_eval.py", "--kind", "chain", "--chars", "20000")
     assert done.returncode == 0, done.stderr
     assert any(line.startswith("L=") and " score=" in line for line in done.stdout.splitlines())
+
+
+MISSING = object()  # stands for a path that does not exist
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--order", "9"], "order 9"),
+        (["--smoothing", "-1"], "smoothing -1.0"),
+        (["--chars", "-5"], "corpus: n must be >= 0"),
+        (["--corpus", MISSING], "corpus: [Errno 2]"),
+        # checked before the corpus is read, so the missing file goes unreported
+        (["--train-frac", "1.5", "--corpus", MISSING], "--train-frac"),
+    ],
+)
+def test_corpus_eval_reports_bad_input_as_a_usage_error(tmp_path, args, message):
+    args = [str(tmp_path / "missing.txt") if a is MISSING else a for a in args]
+    done = run_script("corpus_eval.py", "--chars", "2000", *args)
+    assert done.returncode == 2
+    errors = [line for line in done.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0], done.stderr
+    assert "Traceback" not in done.stderr

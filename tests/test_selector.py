@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rwc.model import Distribution
+from rwc.model import Alphabet, ContextModel, Distribution, predict
 from rwc.selector import (
     KeptSet,
     SelectorParams,
@@ -226,3 +226,16 @@ class TestKeptSetValidation:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             KeptSet(members=(1, 2), renorm=(0.5, 0.4), mass=1.0)
+
+    def test_small_set_off_by_a_billionth_rejected(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            KeptSet(members=(1, 2, 3), renorm=(0.5, 0.25, 0.25 + 1e-9), mass=1.0)
+
+    def test_lossless_set_over_fifty_thousand_glyphs_accepted(self):
+        # Rounding in the mass and renorm sums grows with the member count;
+        # over 50,000 members it passes a fixed 1e-12 tolerance.
+        alphabet = Alphabet(tuple(chr(0x100 + i) for i in range(50_000)))
+        model = ContextModel(alphabet, 0, 0.1, {(): {1: 5, 2: 3}})
+        kept = full_support(predict(model, []))
+        assert len(kept.members) == 50_000
+        assert kept.members[:3] == (1, 2, 3)
