@@ -15,7 +15,6 @@ import argparse
 import os
 import secrets
 import sys
-from collections import Counter
 
 from .harness import (
     ACCEPTANCE_SEED,
@@ -28,17 +27,17 @@ from .harness import (
     two_state_chain,
 )
 from .model import (
-    Distribution,
     ModelFormatError,
     UnknownCharacterError,
     entropy,
     parse_model,
+    predict,
     serialize_model,
     surprise,
     train,
 )
-from .rewind import HintsFile, encode_document, render_trace, run_trace
-from .selector import SelectorParams, marginal_f
+from .rewind import DecodeTrace, encode_document, render_trace, run_trace
+from .selector import SelectorParams, full_support, marginal_f
 
 
 def _read_text(path: str) -> str:
@@ -99,20 +98,19 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def cmd_decode(args) -> int:
+def _trace(args) -> DecodeTrace:
     model = _load_model(args.model)
-    hints = HintsFile.from_payload(_read_bytes(args.hints))
-    trace = run_trace(model, SelectorParams.default(), hints, _read_text(args.text))
-    if args.out:
-        _write_atomic(args.out, trace.decoded.encode("utf-8"))
-    print(f"errors={trace.errors}")
+    hints, text = _read_bytes(args.hints), _read_text(args.text)
+    return run_trace(model, SelectorParams.default(), hints, text)
+
+
+def cmd_decode(args) -> int:
+    print(f"errors={_trace(args).errors}")
     return 0
 
 
 def cmd_trace(args) -> int:
-    model = _load_model(args.model)
-    hints = HintsFile.from_payload(_read_bytes(args.hints))
-    trace = run_trace(model, SelectorParams.default(), hints, _read_text(args.text))
+    trace = _trace(args)
     print(render_trace(trace, ansi=args.ansi))
     print(f"errors={trace.errors}")
     return 0
@@ -165,14 +163,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    corpus = _read_text(args.corpus)
-    if not corpus:
-        raise ValueError("empty corpus")
-    ranked = sorted(Counter(corpus).items(), key=lambda kv: (-kv[1], kv[0]))
-    probs = [c / len(corpus) for _, c in ranked]
-    for (ch, _), p in zip(ranked, probs):
-        print(f"char={ch!r} p={p:.6f} surprise={surprise(p):.6f}")
-    print(f"entropy={entropy(Distribution(probs)):.6f}")
+    # Unsmoothed order 0: each p is count / length, ties ranked by code point.
+    model = train(_read_text(args.corpus), 0, 0.0)
+    dist = predict(model, ())
+    for sym in full_support(dist).members:
+        p = dist.probs[sym]
+        print(f"char={model.alphabet.glyph_of(sym)!r} p={p:.6f} surprise={surprise(p):.6f}")
+    print(f"entropy={entropy(dist):.6f}")
     return 0
 
 
@@ -203,7 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("hints")
     p.add_argument("text")
-    p.add_argument("--out", help="write the reconstructed text here")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("trace", help="print the text over the guess line")

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, repeat
-from operator import lt
+from operator import add, lt
 from typing import Sequence
 
 PRECISION = 32
@@ -55,13 +56,14 @@ def quantize(weights: Sequence[float]) -> tuple[int, ...]:
     Largest-remainder rounding: floor the ideal shares (bumping zeros to the
     floor of 1), hand surplus units to the largest fractional remainders, and
     reclaim any deficit from the largest entries. Ties go to the earliest
-    index, so the result is deterministic.
+    index, so the result is deterministic. The mass is summed left to right,
+    as sum() did before CPython 3.12 made it compensated.
     """
     if not weights:
         raise ValueError("no weights to quantize")
     if any(map(lt, weights, repeat(0))):
         raise ValueError("negative weight")
-    mass = float(sum(weights))
+    mass = float(reduce(add, weights, 0))
     if mass <= 0.0:
         raise ValueError("weights sum to zero")
     if len(weights) > TOTAL:

@@ -13,7 +13,7 @@ suite is reproducible bit for bit.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Mapping, Sequence
 
@@ -113,20 +113,6 @@ def evaluate(
 
 
 @dataclass(frozen=True)
-class IidSource:
-    """Independent draws: glyphs with their probabilities, in sampling order."""
-
-    glyphs: tuple[str, ...]
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.glyphs) != len(self.probs) or not self.glyphs:
-            raise ValueError("need one probability per glyph")
-        if any(p < 0 for p in self.probs) or abs(sum(self.probs) - 1.0) > 1e-9:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
-
-
-@dataclass(frozen=True)
 class ChainSource:
     """A Markov chain whose rows couple emission and transition.
 
@@ -153,6 +139,22 @@ class ChainSource:
                     raise ValueError(f"transition to unknown state {nxt!r}")
 
 
+@dataclass(frozen=True)
+class IidSource:
+    """Independent draws: glyphs with their probabilities, in sampling order.
+    `chain` is the same source as a one-state chain; building it checks the probabilities."""
+
+    glyphs: tuple[str, ...]
+    probs: tuple[float, ...]
+    chain: ChainSource = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.glyphs) != len(self.probs):
+            raise ValueError("need one probability per glyph")
+        row = tuple((g, p, "") for g, p in zip(self.glyphs, self.probs))
+        object.__setattr__(self, "chain", ChainSource(start="", rows={"": row}))
+
+
 def _pick(cum: Sequence[float], u: float) -> int:
     i = bisect_right(cum, u) - 1
     return min(i, len(cum) - 2)
@@ -160,13 +162,7 @@ def _pick(cum: Sequence[float], u: float) -> int:
 
 def gen_iid(source: IidSource, n: int, seed: int) -> str:
     """n independent draws from `source`, reproducible from the seed."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    rng = SplitMix64(seed)
-    cum = list(accumulate(source.probs, initial=0.0))
-    cum[-1] = 1.0
-    glyphs = source.glyphs
-    return "".join(glyphs[_pick(cum, rng.uniform())] for _ in range(n))
+    return gen_markov(source.chain, n, seed)
 
 
 def gen_markov(chain: ChainSource, n: int, seed: int) -> str:
@@ -217,22 +213,26 @@ def two_state_chain() -> ChainSource:
     )
 
 
+def _row_counts(chain: ChainSource, state: str, alphabet: Alphabet, scale: int) -> dict[int, int]:
+    """The probabilities of a chain state's row as integer counts, p times scale."""
+    out = {}
+    for glyph, p, _ in chain.rows[state]:
+        c = round(p * scale)
+        if abs(c - p * scale) > 1e-9:
+            raise ValueError(f"probability {p} is not a multiple of 1/{scale}")
+        out[alphabet.id_of(glyph)] = c
+    return out
+
+
 def model_from_iid(source: IidSource, scale: int = 100) -> ContextModel:
     """Order-0 model whose single context reproduces `source` exactly.
 
     Probabilities are stored as integer counts (p times scale), so scale must
     make every probability an integer.
     """
-    counts = {}
-    for g, p in zip(source.glyphs, source.probs):
-        c = round(p * scale)
-        if abs(c - p * scale) > 1e-9:
-            raise ValueError(f"probability {p} is not a multiple of 1/{scale}")
-        counts[g] = c
     alphabet = Alphabet(source.glyphs)
-    return ContextModel.from_counts(
-        alphabet, 0, {(): {alphabet.id_of(g): c for g, c in counts.items()}}
-    )
+    counts = _row_counts(source.chain, source.chain.start, alphabet, scale)
+    return ContextModel.from_counts(alphabet, 0, {(): counts})
 
 
 def model_from_chain(chain: ChainSource, scale: int = 100) -> ContextModel:
@@ -252,19 +252,9 @@ def model_from_chain(chain: ChainSource, scale: int = 100) -> ContextModel:
             elif next_state[glyph] != nxt:
                 raise ValueError(f"glyph {glyph!r} does not determine a unique state")
     alphabet = Alphabet(tuple(glyph_order))
-
-    def row_counts(state: str) -> dict[int, int]:
-        out = {}
-        for glyph, p, _ in chain.rows[state]:
-            c = round(p * scale)
-            if abs(c - p * scale) > 1e-9:
-                raise ValueError(f"probability {p} is not a multiple of 1/{scale}")
-            out[alphabet.id_of(glyph)] = c
-        return out
-
-    counts = {(BOS,): row_counts(chain.start)}
+    counts = {(BOS,): _row_counts(chain, chain.start, alphabet, scale)}
     for glyph, state in next_state.items():
-        counts[(alphabet.id_of(glyph),)] = row_counts(state)
+        counts[(alphabet.id_of(glyph),)] = _row_counts(chain, state, alphabet, scale)
     return ContextModel.from_counts(alphabet, 1, counts)
 
 

@@ -338,7 +338,7 @@ def parse_model(data: bytes) -> ContextModel:
         for _ in range(n_glyphs):
             (cp,) = unpack_from("<I", data, pos)
             pos += 4
-            if cp > sys.maxunicode:
+            if cp > sys.maxunicode or 0xD800 <= cp <= 0xDFFF:  # surrogates are not text
                 raise ModelFormatError(f"invalid glyph code point {cp:#x}")
             glyphs.append(chr(cp))
         (n_ctx,) = unpack_from("<Q", data, pos)

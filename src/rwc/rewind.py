@@ -39,12 +39,6 @@ class HintsFile:
         """L in the objective: hint bytes, zero-padding included."""
         return len(self.payload)
 
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "HintsFile":
-        """Wrap bytes read back from disk; the exact bit count is not stored,
-        so take all bits (trailing zero-padding decodes identically)."""
-        return cls(payload=payload, bit_count=8 * len(payload))
-
 
 @dataclass(frozen=True)
 class EncodeReport:

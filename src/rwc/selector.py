@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import add
 from typing import Iterable, Iterator
 
 from .model import Distribution
@@ -94,11 +96,6 @@ class KeptSet:
             raise ValueError("renormalized probabilities must sum to 1")
 
 
-def _make_kept(members: list[int], probs: tuple[float, ...]) -> KeptSet:
-    mass = sum(map(probs.__getitem__, members))
-    return KeptSet(tuple(members), tuple([probs[i] / mass for i in members]), mass)
-
-
 def _ranked(dist: Distribution) -> Iterator[int]:
     """Positive-probability ids, highest first, tied ids ascending.
 
@@ -113,8 +110,6 @@ def _ranked(dist: Distribution) -> Iterator[int]:
         return chain(head, (i for i, p in enumerate(probs) if p > 0.0 and i not in seen))
     ranked = [i for i, p in enumerate(probs) if p > 0.0]
     ranked.sort(key=probs.__getitem__, reverse=True)
-    if not ranked:
-        raise ValueError("distribution has empty support")
     return iter(ranked)
 
 
@@ -124,11 +119,14 @@ def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
     Candidates are sorted by probability descending, ties broken by ascending
     id. The first symbol is always kept; each further one is kept while its
     probability is >= alpha times the mass kept so far. Zero-probability
-    symbols are never kept.
+    symbols are never kept. The mass is summed left to right in kept order,
+    so the plan does not depend on how the interpreter's sum() rounds.
     """
     probs = dist.probs
     ranked = _ranked(dist)
-    first = next(ranked)
+    first = next(ranked, None)
+    if first is None:
+        raise ValueError("distribution has empty support")
     members = [first]
     mass = probs[first]
     for i in ranked:
@@ -136,12 +134,16 @@ def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
             break
         members.append(i)
         mass += probs[i]
-    return _make_kept(members, probs)
+    return KeptSet(tuple(members), tuple([probs[i] / mass for i in members]), mass)
+
+
+# Every positive probability clears 0 times the kept mass.
+_KEEP_ALL = SelectorParams(alpha=0.0)
 
 
 def full_support(dist: Distribution) -> KeptSet:
     """Every positive-probability symbol, highest first: the lossless kept set."""
-    return _make_kept(list(_ranked(dist)), dist.probs)
+    return select_kept(dist, _KEEP_ALL)
 
 
 def subset_cost(dist: Distribution, members: Iterable[int]) -> float:
@@ -181,5 +183,6 @@ def brute_force_kept(dist: Distribution) -> KeptSet:
     for k in range(len(ranked), 0, -1):
         prefix = ranked[:k]
         if subset_cost(dist, prefix) <= best_cost + 1e-12:
-            return _make_kept(prefix, probs)
+            mass = reduce(add, map(probs.__getitem__, prefix), 0)  # left to right, as select_kept
+            return KeptSet(tuple(prefix), tuple([probs[i] / mass for i in prefix]), mass)
     raise AssertionError("no prefix attains the exhaustive minimum")

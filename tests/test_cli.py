@@ -53,6 +53,7 @@ HOSTILE_MODELS = {
     "empty row": model_file(0, 0.1, ETAHS, [((), [])]),
     "code point past 2**31": model_file(0, 0.1, ETAHS + [2**31], [((), [(1, 1)])]),
     "code point past Unicode": model_file(0, 0.1, ETAHS + [0x110000], [((), [(1, 1)])]),
+    "surrogate code point": model_file(0, 0.1, ETAHS + [0xD800], [((), [(1, 1)])]),
     "context id outside alphabet": model_file(1, 0.1, ETAHS, [((7,), [(1, 1)])]),
     "symbol id outside alphabet": model_file(0, 0.1, ETAHS, [((), [(7, 1)])]),
     "order past MAX_ORDER": model_file(
@@ -145,11 +146,9 @@ class TestEncodeDecodeTrace:
         tmp_path, model, text = chain_files
         hints = tmp_path / "doc.hints"
         run(capsys, "encode", model, text, str(hints))
-        decoded = tmp_path / "decoded.txt"
-        code, out, _ = run(capsys, "decode", model, str(hints), text, "--out", str(decoded))
+        code, out, _ = run(capsys, "decode", model, str(hints), text)
         assert code == 0
-        assert out.strip() == "errors=1"
-        assert decoded.read_text(encoding="utf-8") == "ETAHTETTT"
+        assert out == "errors=1\n"
 
     def test_decode_with_foreign_hints_still_exits_zero(self, chain_files, capsys):
         tmp_path, model, text = chain_files
@@ -365,7 +364,7 @@ def invocations(draw):
     if cmd == "encode":
         return [cmd, src(), src(), dst()]
     if cmd == "decode":
-        return [cmd, src(), src(), src(), *maybe("--out", dst())]
+        return [cmd, src(), src(), src()]
     if cmd == "trace":
         return [cmd, src(), src(), src(), *maybe("--ansi")]
     if cmd == "score":

@@ -5,7 +5,8 @@ FrequencyTable.from_freqs. The oracle functions below are the straightforward
 versions of those stages: a full loop over the alphabet in `predict`, a
 tuple-keyed sort in `_ranked`, and plain loops in `quantize` and `from_freqs`.
 The library versions must return the same values to the bit, and raise the
-same exception type wherever an oracle raises.
+same exception type wherever an oracle raises. Float masses are summed left
+to right, which is what `sum()` did before CPython 3.12 made it compensated.
 
 `predict` also hands the selector a ranked head of the seen ids, and the
 selector walks it before the ids at the floor. A hand-built `Distribution`
@@ -15,6 +16,8 @@ for the head path.
 
 import math
 import sys
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -67,7 +70,7 @@ def oracle_ranked(probs):
 
 
 def oracle_make_kept(members, probs):
-    mass = sum(probs[i] for i in members)
+    mass = reduce(add, (probs[i] for i in members), 0)
     return KeptSet(
         members=tuple(members),
         renorm=tuple(probs[i] / mass for i in members),
@@ -97,7 +100,7 @@ def oracle_quantize(weights):
         raise ValueError("no weights to quantize")
     if any(w < 0 for w in weights):
         raise ValueError("negative weight")
-    mass = float(sum(weights))
+    mass = float(reduce(add, weights, 0))
     if mass <= 0.0:
         raise ValueError("weights sum to zero")
     if len(weights) > TOTAL:

@@ -39,11 +39,6 @@ class TestHintsFile:
         with pytest.raises(ValueError):
             HintsFile(payload=b"\x00\x00", bit_count=3)
 
-    def test_from_payload_takes_whole_bytes(self):
-        h = HintsFile.from_payload(b"ab")
-        assert h.bit_count == 16
-        assert h.byte_length == 2
-
 
 class TestEncodeDocument:
     def test_iid_example_byte(self, eta_model, params):
