@@ -92,11 +92,10 @@ class Encoder:
         self.low = 0
         self.high = MASK
         self.pending = 0
-        self._bits = bytearray()
+        self._bits = bytearray()  # ASCII "0"/"1", so finish() can parse it in one int()
 
-    def _emit(self, bit: int) -> None:
-        self._bits.append(bit)
-        self._bits.extend([bit ^ 1] * self.pending)
+    def _emit(self, bit: bytes, opposite: bytes) -> None:
+        self._bits += bit + opposite * self.pending
         self.pending = 0
 
     def encode(self, table: FrequencyTable, index: int) -> None:
@@ -107,9 +106,9 @@ class Encoder:
         self.low = self.low + (rng * table.cum[index]) // TOTAL
         while True:
             if self.high < HALF:
-                self._emit(0)
+                self._emit(b"0", b"1")
             elif self.low >= HALF:
-                self._emit(1)
+                self._emit(b"1", b"0")
                 self.low -= HALF
                 self.high -= HALF
             elif self.low >= QUARTER and self.high < THREE_QUARTERS:
@@ -130,15 +129,11 @@ class Encoder:
         zero bits are stripped because the decoder regenerates them.
         """
         if self.low != 0 or self.pending:
-            self._emit(1)
-        bits = self._bits
-        while bits and bits[-1] == 0:
-            bits.pop()
-        payload = bytearray((len(bits) + 7) // 8)
-        for i, bit in enumerate(bits):
-            if bit:
-                payload[i >> 3] |= 0x80 >> (i & 7)
-        return bytes(payload), len(bits)
+            self._emit(b"1", b"0")
+        bits = self._bits.rstrip(b"0")
+        n = len(bits)
+        # base-2 int() is exempt from CPython's limit on decimal digits
+        return (int(bits or b"0", 2) << (-n % 8)).to_bytes((n + 7) // 8, "big"), n
 
 
 class Decoder:
@@ -147,11 +142,13 @@ class Decoder:
     State (interval, code window, bit position) is tiny and can be snapshotted
     with checkpoint() and rolled back with restore(), which is how wrong
     guesses get rewound: restore, then decode the same bits under a different
-    table. Payload bits are read MSB first.
+    table. Payload bits are read MSB first, from a "0"/"1" string of them, so
+    a read past the end is an empty slice and counts as a 0 bit.
     """
 
     def __init__(self, payload: bytes):
-        self.payload = payload
+        # a 0x01 byte in front keeps the payload's leading zeros; [3:] drops "0b1"
+        self._stream = bin(int.from_bytes(b"\1" + payload, "big"))[3:]
         self.low = 0
         self.high = MASK
         self.code = int.from_bytes(payload[: PRECISION // 8].ljust(PRECISION // 8, b"\0"), "big")
@@ -186,8 +183,5 @@ class Decoder:
             self.high = (self.high << 1) | 1
             i = self.bits_read
             self.bits_read = i + 1
-            bit = 0
-            if i >> 3 < len(self.payload):
-                bit = (self.payload[i >> 3] >> (7 - (i & 7))) & 1
-            self.code = (self.code << 1) | bit
+            self.code = (self.code << 1) | (self._stream[i : i + 1] == "1")
         return index

@@ -15,6 +15,7 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import starmap
 from typing import Mapping, Sequence
 
 BOS = 0  # reserved begin-of-stream id; pads contexts, never occurs in text
@@ -67,9 +68,9 @@ class Alphabet:
 
     def __post_init__(self):
         object.__setattr__(self, "glyphs", tuple(self.glyphs))
-        for g in self.glyphs:
-            if not isinstance(g, str) or len(g) != 1:
-                raise ValueError(f"glyph must be a single character, got {g!r}")
+        for g in self.glyphs:  # a surrogate is half of a UTF-16 pair, not text
+            if not isinstance(g, str) or len(g) != 1 or "\ud800" <= g <= "\udfff":
+                raise ValueError(f"glyph must be a single non-surrogate character, got {g!r}")
         if len(set(self.glyphs)) != len(self.glyphs):
             raise ValueError("duplicate glyph in alphabet")
 
@@ -304,21 +305,15 @@ def serialize_model(model: ContextModel) -> bytes:
     count) pairs). Lower orders are derived on load, so they are not stored.
     Contexts and rows are sorted, so serialization is deterministic.
     """
-    k = model.order
-    out = bytearray()
-    out += _MAGIC + _VERSION
-    out += struct.pack("<Id", k, model.smoothing)
-    out += struct.pack("<I", len(model.alphabet.glyphs))
-    for g in model.alphabet.glyphs:
-        out += struct.pack("<I", ord(g))
-    table = model.counts
-    out += struct.pack("<Q", len(table))
+    k, glyphs, table = model.order, model.alphabet.glyphs, model.counts
+    n = len(glyphs)
+    head = struct.Struct(f"<{k}II").pack  # a context's ids and its row length
+    out = bytearray(_MAGIC + _VERSION)
+    out += struct.pack(f"<IdI{n}IQ", k, model.smoothing, n, *map(ord, glyphs), len(table))
     for ctx in sorted(table):
-        out += struct.pack(f"<{k}I", *ctx)
         row = table[ctx]
-        out += struct.pack("<I", len(row))
-        for sym in sorted(row):
-            out += _PAIR.pack(sym, row[sym])
+        out += head(*ctx, len(row))
+        out += b"".join(starmap(_PAIR.pack, sorted(row.items())))
     return bytes(out)
 
 
@@ -330,40 +325,37 @@ def parse_model(data: bytes) -> ContextModel:
         raise BadMagicError("not a model file (bad magic)")
     if data[3:4] != _VERSION:
         raise UnsupportedVersionError(f"unsupported model version {data[3:4]!r}")
-    unpack_from, unpack_pair = struct.unpack_from, _PAIR.unpack_from
-    try:  # every unpack_from raises struct.error when it would read past the end
-        order, smoothing, n_glyphs = unpack_from("<IdI", data, 4)
-        pos = 20  # magic and version (4), order, smoothing and glyph count (16)
-        glyphs = []
-        for _ in range(n_glyphs):
-            (cp,) = unpack_from("<I", data, pos)
-            pos += 4
-            if cp > sys.maxunicode or 0xD800 <= cp <= 0xDFFF:  # surrogates are not text
-                raise ModelFormatError(f"invalid glyph code point {cp:#x}")
-            glyphs.append(chr(cp))
-        (n_ctx,) = unpack_from("<Q", data, pos)
+    view = memoryview(data)
+    try:  # every unpack raises struct.error when it would read past the end
+        order, smoothing, n_glyphs = struct.unpack_from("<IdI", data, 4)
+        code_points = struct.unpack_from(f"<{n_glyphs}I", data, 20)
+        if max(code_points, default=0) > sys.maxunicode:
+            raise ModelFormatError(f"invalid glyph code point {max(code_points):#x}")
+        glyphs = tuple(map(chr, code_points))
+        pos = 20 + 4 * n_glyphs  # magic and version (4), order, smoothing and glyph count (16)
+        (n_ctx,) = struct.unpack_from("<Q", data, pos)
         pos += 8
         table: Table = {}
-        ctx_struct = struct.Struct(f"<{order}I")
+        head = struct.Struct(f"<{order}II")  # a context's ids and its row length
+        unpack_head, pairs, size = head.unpack_from, _PAIR.iter_unpack, len(data)
         for _ in range(n_ctx):
-            ctx = ctx_struct.unpack_from(data, pos)
-            (n_row,) = unpack_from("<I", data, pos + ctx_struct.size)
-            pos += ctx_struct.size + 4
-            row: Counts = {}
-            for _ in range(n_row):
-                sym, count = unpack_pair(data, pos)
-                pos += 12
-                row[sym] = count
+            fields = unpack_head(data, pos)
+            ctx, n_row = fields[:-1], fields[-1]
+            pos += head.size
+            end = pos + _PAIR.size * n_row
+            if end > size:  # a short slice would just unpack fewer pairs
+                raise TruncatedModelError("model file truncated")
+            row = table[ctx] = dict(pairs(view[pos:end]))
+            pos = end
             if len(row) != n_row:
                 raise ModelFormatError(f"context {ctx} lists a symbol twice")
-            table[ctx] = row
     except struct.error:
         raise TruncatedModelError("model file truncated") from None
     if len(table) != n_ctx:
         raise ModelFormatError("a context is listed twice")
     if pos != len(data):
         raise ModelFormatError("trailing data after model")
-    try:
-        return ContextModel(Alphabet(tuple(glyphs)), order, smoothing, table)
+    try:  # the constructors refuse the rest, surrogate glyphs included
+        return ContextModel(Alphabet(glyphs), order, smoothing, table)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None

@@ -1,12 +1,15 @@
 import math
+from bisect import bisect_right
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwc.coder import (
     HALF,
+    MASK,
     QUARTER,
+    THREE_QUARTERS,
     TOTAL,
     Decoder,
     Encoder,
@@ -243,3 +246,171 @@ class TestRoundTrip:
         payload, _ = encode_all((table, s) for s in syms)
         dec = Decoder(payload)
         assert [dec.decode(table) for _ in syms] == syms
+
+
+class OracleEncoder:
+    """The bit-at-a-time encoder the coder had before it packed with int():
+    a list of 0/1 ints, a trailing-zero pop loop and a per-bit pack loop."""
+
+    def __init__(self):
+        self.low = 0
+        self.high = MASK
+        self.pending = 0
+        self._bits = bytearray()
+
+    def _emit(self, bit):
+        self._bits.append(bit)
+        self._bits.extend([bit ^ 1] * self.pending)
+        self.pending = 0
+
+    def encode(self, table, index):
+        rng = self.high - self.low + 1
+        self.high = self.low + (rng * table.cum[index + 1]) // TOTAL - 1
+        self.low = self.low + (rng * table.cum[index]) // TOTAL
+        while True:
+            if self.high < HALF:
+                self._emit(0)
+            elif self.low >= HALF:
+                self._emit(1)
+                self.low -= HALF
+                self.high -= HALF
+            elif self.low >= QUARTER and self.high < THREE_QUARTERS:
+                self.pending += 1
+                self.low -= QUARTER
+                self.high -= QUARTER
+            else:
+                break
+            self.low <<= 1
+            self.high = (self.high << 1) | 1
+
+    def finish(self):
+        if self.low != 0 or self.pending:
+            self._emit(1)
+        bits = self._bits
+        while bits and bits[-1] == 0:
+            bits.pop()
+        payload = bytearray((len(bits) + 7) // 8)
+        for i, bit in enumerate(bits):
+            if bit:
+                payload[i >> 3] |= 0x80 >> (i & 7)
+        return bytes(payload), len(bits)
+
+
+class OracleDecoder:
+    """The decoder that read each bit from the payload bytes with a bounds
+    branch and shift/mask arithmetic."""
+
+    def __init__(self, payload):
+        self.payload = payload
+        self.low = 0
+        self.high = MASK
+        self.code = int.from_bytes(payload[:4].ljust(4, b"\0"), "big")
+        self.bits_read = 32
+
+    def checkpoint(self):
+        return (self.low, self.high, self.code, self.bits_read)
+
+    def restore(self, state):
+        self.low, self.high, self.code, self.bits_read = state
+
+    def decode(self, table):
+        rng = self.high - self.low + 1
+        value = ((self.code - self.low + 1) * TOTAL - 1) // rng
+        index = bisect_right(table.cum, value) - 1
+        self.high = self.low + (rng * table.cum[index + 1]) // TOTAL - 1
+        self.low = self.low + (rng * table.cum[index]) // TOTAL
+        while True:
+            if self.high < HALF:
+                pass
+            elif self.low >= HALF:
+                self.low -= HALF
+                self.high -= HALF
+                self.code -= HALF
+            elif self.low >= QUARTER and self.high < THREE_QUARTERS:
+                self.low -= QUARTER
+                self.high -= QUARTER
+                self.code -= QUARTER
+            else:
+                break
+            self.low <<= 1
+            self.high = (self.high << 1) | 1
+            i = self.bits_read
+            self.bits_read = i + 1
+            bit = 0
+            if i >> 3 < len(self.payload):
+                bit = (self.payload[i >> 3] >> (7 - (i & 7))) & 1
+            self.code = (self.code << 1) | bit
+        return index
+
+
+def decode_both(payload, plan, rng):
+    """Decode `payload` with the coder and its oracle, past the end of the
+    plan, rewinding both to a random earlier checkpoint about one step in 8;
+    every result and every checkpoint must agree."""
+    new, old = Decoder(payload), OracleDecoder(payload)
+    assert new.checkpoint() == old.checkpoint()
+    saved = [new.checkpoint()]
+    for step in range(len(plan) + 40):
+        if rng.next() % 8 == 0:
+            state = saved[rng.next() % len(saved)]
+            new.restore(state)
+            old.restore(state)
+        table = plan[step % len(plan)]
+        assert new.decode(table) == old.decode(table)
+        assert new.checkpoint() == old.checkpoint()
+        saved.append(new.checkpoint())
+
+
+TABLES = st.lists(
+    st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=24).map(
+        lambda w: FrequencyTable.from_freqs(quantize(w))
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestAgainstTheBitwiseCoder:
+    @settings(max_examples=300)
+    @given(
+        TABLES,
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 23)), max_size=150),
+        st.sampled_from(["real", "garbage", "truncated", "empty"]),
+        st.binary(max_size=48),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_same_states_payloads_and_decodes(self, tables, raw, kind, garbage, seed):
+        plan = [tables[t % len(tables)] for t, _ in raw]
+        syms = [s % len(table) for table, (_, s) in zip(plan, raw)]
+        new, old = Encoder(), OracleEncoder()
+        for table, s in zip(plan, syms):
+            new.encode(table, s)
+            old.encode(table, s)
+            assert (new.low, new.high, new.pending) == (old.low, old.high, old.pending)
+        payload, bit_count = new.finish()
+        assert (payload, bit_count) == old.finish()
+        rng = SplitMix64(seed)
+        payload = {
+            "real": payload,
+            "garbage": garbage,
+            "truncated": payload[: rng.next() % (len(payload) + 1)],
+            "empty": b"",
+        }[kind]
+        decode_both(payload, plan or tables, rng)
+
+    def test_long_stream_over_a_full_byte_table(self):
+        # 8 bits a symbol, so finish() parses a bit string of more than 80k
+        # digits, far past CPython's 4,300-digit limit for decimal int()
+        table = FrequencyTable.from_freqs((256,) * 256)
+        rng = SplitMix64(8)
+        syms = [rng.next() % 256 for _ in range(12_000)]
+        new, old = Encoder(), OracleEncoder()
+        for s in syms:
+            new.encode(table, s)
+            old.encode(table, s)
+        payload, bit_count = new.finish()
+        assert bit_count > 80_000
+        assert (payload, bit_count) == old.finish()
+        dec = Decoder(payload)
+        assert [dec.decode(table) for _ in syms] == syms
+        decode_both(payload, [table] * 2_000, rng)

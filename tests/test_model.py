@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from rwc.model import (
     BOS,
     Alphabet,
     BadMagicError,
+    MAX_COUNT,
     MAX_ORDER,
     ContextModel,
     Distribution,
@@ -49,6 +51,16 @@ class TestAlphabet:
             Alphabet(("E", "E"))
         with pytest.raises(ValueError):
             Alphabet(("ET",))
+
+    @pytest.mark.parametrize("glyph", ["\ud800", "\udc80", "\udfff"])
+    def test_rejects_surrogates(self, glyph):
+        # half of a UTF-16 pair is not text, and no model file may hold one
+        with pytest.raises(ValueError, match="surrogate"):
+            Alphabet(("E", glyph))
+
+    def test_train_refuses_a_surrogate_in_the_corpus(self):
+        with pytest.raises(ValueError, match="surrogate"):
+            train("a\ud800", 0, 0.1)
 
     def test_encode_reports_offending_position(self):
         a = Alphabet(("E", "T"))
@@ -266,6 +278,59 @@ class TestModelFile:
         except ModelFormatError:
             return
         predict(m, []).validate()
+
+
+def oracle_serialize(model):
+    """The writer as it was before it packed whole runs in one call: one pack
+    per glyph and one per row entry."""
+    k = model.order
+    out = bytearray()
+    out += b"RWC2"
+    out += struct.pack("<Id", k, model.smoothing)
+    out += struct.pack("<I", len(model.alphabet.glyphs))
+    for g in model.alphabet.glyphs:
+        out += struct.pack("<I", ord(g))
+    table = model.counts
+    out += struct.pack("<Q", len(table))
+    for ctx in sorted(table):
+        out += struct.pack(f"<{k}I", *ctx)
+        row = table[ctx]
+        out += struct.pack("<I", len(row))
+        for sym in sorted(row):
+            out += struct.pack("<IQ", sym, row[sym])
+    return bytes(out)
+
+
+@st.composite
+def models(draw):
+    """Any valid model: orders 0..MAX_ORDER, glyphs anywhere in Unicode
+    except the surrogates, counts up to MAX_COUNT."""
+    glyphs = draw(
+        st.lists(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8, unique=True)
+    )
+    n = len(glyphs) + 1
+    k = draw(st.integers(0, MAX_ORDER))
+    rows = st.dictionaries(st.integers(1, n - 1), st.integers(1, MAX_COUNT), min_size=1, max_size=6)
+    ctx = st.tuples(*[st.integers(0, n - 1)] * k)
+    counts = draw(st.dictionaries(ctx, rows, min_size=1, max_size=6))
+    smoothing = draw(st.floats(0.0, 1e6))
+    return ContextModel(Alphabet(tuple(glyphs)), k, smoothing, counts)
+
+
+class TestModelFileFormat:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_every_cut_is_reported_as_truncation(self, order):
+        blob = serialize_model(train("a\U0001f600b\u00e9a\U0001f600\U00010348ba", order, 0.5))
+        for cut in range(len(blob)):
+            with pytest.raises(TruncatedModelError):
+                parse_model(blob[:cut])
+
+    @settings(max_examples=300)
+    @given(models())
+    def test_writer_matches_the_per_entry_writer_and_parses_back(self, m):
+        blob = serialize_model(m)
+        assert blob == oracle_serialize(m)
+        assert parse_model(blob) == m
 
 
 class TestFromCounts:
