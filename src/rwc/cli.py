@@ -146,19 +146,14 @@ def cmd_eval(args) -> int:
 def cmd_gen(args) -> int:
     if args.kind == "bytes":
         data = gen_bytes(args.count, args.seed)
-        if args.out:
-            _write_atomic(args.out, data)
-        else:
-            sys.stdout.buffer.write(data)
-        return 0
-    if args.kind == "eta":
-        text = gen_iid(eta_source(), args.count, args.seed)
+    elif args.kind == "eta":
+        data = gen_iid(eta_source(), args.count, args.seed).encode("utf-8")
     else:
-        text = gen_markov(two_state_chain(), args.count, args.seed)
+        data = gen_markov(two_state_chain(), args.count, args.seed).encode("utf-8")
     if args.out:
-        _write_atomic(args.out, text.encode("utf-8"))
+        _write_atomic(args.out, data)
     else:
-        print(text, end="")
+        sys.stdout.buffer.write(data)
     return 0
 
 

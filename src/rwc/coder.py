@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
+from heapq import heapify, heapreplace
 from itertools import accumulate, repeat
 from operator import add, lt
 from typing import Sequence
@@ -55,9 +56,9 @@ def quantize(weights: Sequence[float]) -> tuple[int, ...]:
 
     Largest-remainder rounding: floor the ideal shares (bumping zeros to the
     floor of 1), hand surplus units to the largest fractional remainders, and
-    reclaim any deficit from the largest entries. Ties go to the earliest
-    index, so the result is deterministic. The mass is summed left to right,
-    as sum() did before CPython 3.12 made it compensated.
+    reclaim any deficit one unit at a time from the largest entry. Ties go to
+    the earliest index, so the result is deterministic. The mass is summed
+    left to right, as sum() did before CPython 3.12 made it compensated.
     """
     if not weights:
         raise ValueError("no weights to quantize")
@@ -76,12 +77,15 @@ def quantize(weights: Sequence[float]) -> tuple[int, ...]:
         order = sorted(range(len(raw)), key=remainders.__getitem__, reverse=True)
         for i in order[:leftover]:
             base[i] += 1
-    while leftover < 0:
-        i = base.index(max(base))
-        if base[i] <= 1:
-            raise AssertionError("cannot reclaim below the floor of 1")
-        base[i] -= 1
-        leftover += 1
+    elif leftover < 0:
+        # While units are owed, sum(base) > TOTAL >= len(base), so the largest
+        # entry is at least 2 and none drops below the floor of 1.
+        heap = [(-b, i) for i, b in enumerate(base)]  # largest first, earliest on ties
+        heapify(heap)
+        for _ in range(-leftover):
+            b, i = heap[0]
+            base[i] = -b - 1
+            heapreplace(heap, (b + 1, i))
     return tuple(base)
 
 

@@ -18,7 +18,7 @@ from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .model import BOS, Alphabet, ContextModel, serialize_model
-from .rewind import DecodeTrace, EncodeReport, HintsFile, encode_document, run_trace
+from .rewind import DecodeTrace, encode_document, run_trace
 from .selector import SelectorParams
 
 ACCEPTANCE_SEED = 0xDEADBEEF
@@ -43,7 +43,8 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
-        """A float in [0, 1): the next output divided by 2**64."""
+        """A float in [0, 1]: the next output divided by 2**64. The division
+        rounds the top 1,024 outputs (at least 2**64 - 2**10) up to 1.0."""
         return self.next() / 18446744073709551616.0
 
 
@@ -61,7 +62,7 @@ class ScoreReport:
     model_bytes: int | None = None
 
     def __post_init__(self):
-        if min(self.hint_bytes, self.errors, self.model_bytes or 0) < 0:
+        if min(self.hint_bytes, self.errors, self.kept, self.model_bytes or 0) < 0:
             raise ValueError("counts cannot be negative")
 
     @property
@@ -156,6 +157,8 @@ class IidSource:
 
 
 def _pick(cum: Sequence[float], u: float) -> int:
+    # `uniform` can return exactly 1.0 (cum[-1]), which bisects past the last
+    # row entry; the clamp maps it to that entry.
     i = bisect_right(cum, u) - 1
     return min(i, len(cum) - 2)
 

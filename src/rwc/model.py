@@ -127,9 +127,6 @@ class Distribution:
     def __post_init__(self):
         object.__setattr__(self, "probs", tuple(self.probs))
 
-    def __len__(self) -> int:
-        return len(self.probs)
-
     def validate(self, tol: float = 1e-9) -> None:
         if any(p < 0.0 for p in self.probs):
             raise ValueError("negative probability")
@@ -272,20 +269,13 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
         counts = model.tables[j].get(key[model.order - j :])
         if counts:
             break
-    beta = model.smoothing
-    total = sum(counts.values())
-    if beta:
-        total += beta * (n - 1)
-        floor = beta / total
-        probs = [floor] * n
-        probs[BOS] = 0.0
-        for sym, c in counts.items():
-            probs[sym] = (c + beta) / total
-    else:
-        floor = 0.0
-        probs = [0.0] * n
-        for sym, c in counts.items():
-            probs[sym] = c / total  # int / int is exact; c + 0.0 rounds past 2**53
+    beta = model.smoothing or 0  # int 0 keeps c / total exact; c + 0.0 rounds past 2**53
+    total = sum(counts.values()) + beta * (n - 1)
+    floor = beta / total
+    probs = [floor] * n
+    probs[BOS] = 0.0
+    for sym, c in counts.items():
+        probs[sym] = (c + beta) / total
     head = sorted([sym for sym in counts if probs[sym] > floor])
     head.sort(key=probs.__getitem__, reverse=True)  # stable: ties stay ascending
     dist = Distribution(probs)

@@ -31,7 +31,7 @@ class HintsFile:
     bit_count: int
 
     def __post_init__(self):
-        if len(self.payload) != (self.bit_count + 7) // 8:
+        if self.bit_count < 0 or len(self.payload) != (self.bit_count + 7) // 8:
             raise ValueError("payload length disagrees with bit count")
 
     @property
@@ -167,9 +167,10 @@ class DecoderSession:
     def reveal(self, truth: str) -> StepOutcome:
         guessed = self.next_guess()
         guess_sym, state = self._pending
-        if truth not in self.model.alphabet:
-            raise UnknownCharacterError(truth, self._position)
-        truth_sym = self.model.alphabet.id_of(truth)
+        try:
+            truth_sym = self.model.alphabet.id_of(truth)
+        except ValueError:
+            raise UnknownCharacterError(truth, self._position) from None
         if truth_sym != guess_sym:
             self._decoder.restore(state)
         self._ctx = (self._ctx + (truth_sym,))[1:]
@@ -217,15 +218,8 @@ def decode_text(
 
 def render_guess_line(trace: DecodeTrace, ansi: bool = False) -> str:
     """One character per position: the guess, marked when it was wrong."""
-    parts = []
-    for s in trace.steps:
-        if s.correct:
-            parts.append(s.guessed)
-        elif ansi:
-            parts.append(f"\x1b[31m{s.guessed}\x1b[0m")
-        else:
-            parts.append(f"[{s.guessed}]")
-    return "".join(parts)
+    wrong = ("\x1b[31m{}\x1b[0m" if ansi else "[{}]").format
+    return "".join(s.guessed if s.correct else wrong(s.guessed) for s in trace.steps)
 
 
 def render_trace(trace: DecodeTrace, ansi: bool = False) -> str:

@@ -99,18 +99,17 @@ class KeptSet:
 def _ranked(dist: Distribution) -> Iterator[int]:
     """Positive-probability ids, highest first, tied ids ascending.
 
-    A distribution from `predict` yields its head, then lazily every other
-    positive id in ascending order: those all share the floor probability,
+    Yields the head, then lazily every other positive id in ascending order.
+    For a distribution from `predict` those all share the floor probability,
     which is the order a stable sort of every id gives them. A hand-built
-    one is sorted in full.
+    one's head is all of its positive ids, sorted in full, so its tail is empty.
     """
     probs, head = dist.probs, dist._head
-    if head is not None:
-        seen = set(head)
-        return chain(head, (i for i, p in enumerate(probs) if p > 0.0 and i not in seen))
-    ranked = [i for i, p in enumerate(probs) if p > 0.0]
-    ranked.sort(key=probs.__getitem__, reverse=True)
-    return iter(ranked)
+    if head is None:
+        head = [i for i, p in enumerate(probs) if p > 0.0]
+        head.sort(key=probs.__getitem__, reverse=True)
+    seen = set(head)
+    return chain(head, (i for i, p in enumerate(probs) if p > 0.0 and i not in seen))
 
 
 def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
@@ -123,17 +122,14 @@ def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
     so the plan does not depend on how the interpreter's sum() rounds.
     """
     probs = dist.probs
-    ranked = _ranked(dist)
-    first = next(ranked, None)
-    if first is None:
-        raise ValueError("distribution has empty support")
-    members = [first]
-    mass = probs[first]
-    for i in ranked:
+    members, mass = [], 0.0
+    for i in _ranked(dist):  # alpha * 0.0 is 0 or NaN, so the first ranked id is kept
         if probs[i] < params.alpha * mass:
             break
         members.append(i)
         mass += probs[i]
+    if not members:
+        raise ValueError("distribution has empty support")
     return KeptSet(tuple(members), tuple([probs[i] / mass for i in members]), mass)
 
 

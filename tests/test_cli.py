@@ -9,7 +9,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rwc.cli import main
-from rwc.harness import evaluate, model_from_chain, two_state_chain
+from rwc.harness import (
+    ACCEPTANCE_SEED,
+    eta_source,
+    evaluate,
+    gen_bytes,
+    gen_iid,
+    gen_markov,
+    model_from_chain,
+    two_state_chain,
+)
 from rwc.model import MAX_ORDER, Alphabet, ContextModel, parse_model, serialize_model
 from rwc.rewind import render_trace
 
@@ -287,6 +296,22 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "bytes", "64", "--seed", "9", "--out", str(path))
         assert code == 0
         assert len(path.read_bytes()) == 64
+
+    @pytest.mark.parametrize("kind", ["eta", "chain", "bytes"])
+    @pytest.mark.parametrize("count", [0, 1000])
+    def test_stdout_and_out_file_hold_the_generator_output(self, tmp_path, capsysbinary,
+                                                           kind, count):
+        want = {
+            "eta": gen_iid(eta_source(), count, ACCEPTANCE_SEED).encode("utf-8"),
+            "chain": gen_markov(two_state_chain(), count, ACCEPTANCE_SEED).encode("utf-8"),
+            "bytes": gen_bytes(count, ACCEPTANCE_SEED),
+        }[kind]
+        assert main(["gen", kind, str(count)]) == 0
+        assert capsysbinary.readouterr() == (want, b"")
+        path = tmp_path / "gen.out"
+        assert main(["gen", kind, str(count), "--out", str(path)]) == 0
+        assert capsysbinary.readouterr() == (b"", b"")
+        assert path.read_bytes() == want
 
 
 class TestAnalyze:

@@ -46,6 +46,27 @@ class TestSplitMix64:
     def test_seed_is_masked_to_64_bits(self):
         assert SplitMix64(1 << 64).next() == SplitMix64(0).next()
 
+    def test_top_outputs_make_uniform_return_one(self):
+        # Invert the finaliser and the state step, so the first output is the
+        # largest one; `next() / 2**64` rounds it up to 1.0.
+        def unshift(z, s):
+            x = z
+            for _ in range(64 // s):
+                x = z ^ (x >> s)
+            return x
+
+        mask = (1 << 64) - 1
+        z = unshift(mask, 31)
+        z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & mask, 27)
+        z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask, 30)
+        seed = (z - 0x9E3779B97F4A7C15) & mask
+        assert seed == 0x31628AF67B2131AB
+        assert SplitMix64(seed).next() == mask
+        assert SplitMix64(seed).uniform() == 1.0
+        # u == 1.0 bisects past the row; the generators emit its last glyph
+        assert gen_iid(eta_source(), 1, seed) == "A"
+        assert gen_markov(two_state_chain(), 1, seed) == "A"
+
 
 class TestGenerators:
     def test_gen_iid_empty(self):
@@ -149,6 +170,8 @@ class TestScore:
             ScoreReport(0, -1)
         with pytest.raises(ValueError):
             ScoreReport(0, 0, model_bytes=-1)
+        with pytest.raises(ValueError):
+            ScoreReport(hint_bytes=1, errors=0, kept=-5)
 
     def test_include_without_measurement_rejected(self):
         assert ScoreReport(hint_bytes=1, errors=0).score_with_model is None

@@ -15,11 +15,14 @@ for the head path.
 """
 
 import math
+import random
 import sys
+import time
 from functools import reduce
 from operator import add
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -185,7 +188,7 @@ def assert_same_plan(model, history, lossless):
 def models(draw):
     n_glyphs = draw(st.integers(1, 6))
     order = draw(st.integers(0, 3))
-    smoothing = draw(st.sampled_from([0.0, 0.1, 1e12]))
+    smoothing = draw(st.sampled_from([0.0, -0.0, 0.1, 1e12]))
     ids = st.integers(0, n_glyphs)
     count = st.one_of(st.integers(1, 9), st.integers(1, MAX_COUNT), st.just(MAX_COUNT))
     row = st.dictionaries(st.integers(1, n_glyphs), count, min_size=1)
@@ -217,8 +220,9 @@ def test_counts_past_two_to_the_53_divide_exactly():
 # --- the ranked head against the dense ranking -------------------------------
 
 # 2**60 swamps any count up to 9 (c + beta == beta), so those seen ids tie with
-# the floor; 5e-324 rounds the floor itself to 0, so unseen ids drop out.
-HEAD_SMOOTHINGS = [0.0, 0.1, 1e12, 2.0**60, 5e-324]
+# the floor; 5e-324 rounds the floor itself to 0, so unseen ids drop out. A
+# model file can carry -0.0, which must predict exactly as 0.0.
+HEAD_SMOOTHINGS = [0.0, -0.0, 0.1, 1e12, 2.0**60, 5e-324]
 
 
 @st.composite
@@ -288,17 +292,35 @@ awkward = st.one_of(
 )
 
 
+# `select_kept` tests its first ranked id against alpha * 0.0 like any other;
+# the oracle keeps it unconditionally. Each of these must agree with that.
+ALPHAS = st.sampled_from([PARAMS.alpha, 0.0, 0.5, 1.0, math.inf, math.nan, -1.0])
+
+
 @settings(max_examples=500)
-@given(st.lists(awkward, max_size=12), st.booleans())
-@example([0.0, 0.5, 0.25, 0.25, 0.0, math.nan, -1.0, 0.25], False)
-@example([0.0, -0.0, math.nan, -2.0], True)
-@example([0.0, 0.1, 0.1, 0.1, 0.1], True)
-def test_hand_built_distributions_rank_identically(probs, lossless):
+@given(st.lists(awkward, max_size=12), st.booleans(), ALPHAS)
+@example([0.0, 0.5, 0.25, 0.25, 0.0, math.nan, -1.0, 0.25], False, PARAMS.alpha)
+@example([0.0, -0.0, math.nan, -2.0], True, PARAMS.alpha)
+@example([0.0, 0.1, 0.1, 0.1, 0.1], True, PARAMS.alpha)
+@example([0.0, math.inf, 0.5, math.inf], False, math.inf)
+@example([0.0, 5e-324, 0.25, 0.25], False, math.nan)
+def test_hand_built_distributions_rank_identically(probs, lossless, alpha):
     dist = Distribution(tuple(probs))
+    params = SelectorParams(alpha=alpha)
     if lossless:
         assert outcome(full_support, dist) == outcome(oracle_full_support, dist)
     else:
-        assert outcome(select_kept, dist, PARAMS) == outcome(oracle_select_kept, dist, PARAMS)
+        assert outcome(select_kept, dist, params) == outcome(oracle_select_kept, dist, params)
+
+
+@settings(max_examples=200)
+@given(head_models(), st.data(), ALPHAS)
+def test_predicted_distributions_select_as_the_oracle_at_any_alpha(model, data, alpha):
+    params = SelectorParams(alpha=alpha)
+    n = model.alphabet.size
+    for _ in range(3):
+        dist = predict(model, data.draw(st.lists(st.integers(1, n - 1), max_size=4)))
+        assert outcome(select_kept, dist, params) == outcome(oracle_select_kept, dist, params)
 
 
 # --- quantize and frequency tables ------------------------------------------
@@ -317,6 +339,31 @@ def test_quantize_matches(weights):
 def test_quantize_more_weights_than_units():
     weights = [1.0] * (TOTAL + 1)
     assert outcome(quantize, weights) == outcome(oracle_quantize, weights)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_quantize_reclaims_a_deficit_as_the_oracle(seed):
+    # Integer weights summing to TOTAL have exact shares; each 5e-324 weight
+    # adds nothing to the mass but is lifted to the floor of 1, so `quantize`
+    # owes one unit per tiny weight and takes them back from the largest
+    # entries, many of them tied.
+    rng = random.Random(seed)
+    cuts = sorted(rng.sample(range(1, TOTAL), 3_899))
+    weights = [float(b - a) for a, b in zip([0] + cuts, cuts + [TOTAL])]
+    weights += [5e-324] * 100
+    rng.shuffle(weights)
+    assert sum(max(1, int(w)) for w in weights) == TOTAL + 100
+    assert quantize(weights) == oracle_quantize(weights)
+
+
+def test_quantize_reclaims_a_large_deficit_in_little_time():
+    # One weight takes 46,811 units and 65,535 tiny ones one each: 46,810
+    # units are owed, and every entry ends at the floor. Rescanning all the
+    # entries for the largest one per unit owed takes minutes.
+    weights = [1.0] + [0.4 / TOTAL] * (TOTAL - 1)
+    start = time.perf_counter()
+    assert quantize(weights) == (1,) * TOTAL
+    assert time.perf_counter() - start < 5.0
 
 
 @settings(max_examples=300)

@@ -10,6 +10,7 @@ from rwc.rewind import (
     DecoderSession,
     DecodeTrace,
     HintsFile,
+    StepOutcome,
     decode_text,
     encode_document,
     render_guess_line,
@@ -38,6 +39,11 @@ class TestHintsFile:
     def test_mismatched_payload_rejected(self):
         with pytest.raises(ValueError):
             HintsFile(payload=b"\x00\x00", bit_count=3)
+
+    def test_negative_bit_count_rejected(self):
+        # (-1 + 7) // 8 == 0 matches the empty payload's length
+        with pytest.raises(ValueError):
+            HintsFile(payload=b"", bit_count=-1)
 
 
 class TestEncodeDocument:
@@ -97,6 +103,19 @@ class TestDecoderSession:
         s = DecoderSession(eta_model, params, b"")
         with pytest.raises(UnknownCharacterError):
             s.reveal("X")
+
+    @pytest.mark.parametrize("truth", ["ET", "", "\ud800"])
+    def test_reveal_of_a_non_glyph_names_its_position(self, eta_model, params, truth):
+        s = DecoderSession(eta_model, params, b"")
+        s.reveal("E")
+        with pytest.raises(UnknownCharacterError) as exc:
+            s.reveal(truth)
+        assert (exc.value.char, exc.value.position) == (truth, 1)
+
+    def test_reveal_of_an_unhashable_value_raises_type_error(self, eta_model, params):
+        s = DecoderSession(eta_model, params, b"")
+        with pytest.raises(TypeError):
+            s.reveal(["E"])
 
     def test_all_wrong_guesses_consume_no_bits(self, eta_model, params):
         hints, _ = encode_document(eta_model, params, "AAA")
@@ -178,6 +197,26 @@ class TestRender:
         line = render_guess_line(trace, ansi=True)
         assert "\x1b[31mT\x1b[0m" in line
         assert "[T]" not in line
+
+    @pytest.mark.parametrize("ansi", [False, True])
+    def test_format_characters_are_marked_verbatim(self, ansi):
+        def oracle_guess_line(trace, ansi):
+            parts = []
+            for s in trace.steps:
+                if s.correct:
+                    parts.append(s.guessed)
+                elif ansi:
+                    parts.append(f"\x1b[31m{s.guessed}\x1b[0m")
+                else:
+                    parts.append(f"[{s.guessed}]")
+            return "".join(parts)
+
+        pairs = [("{", "a"), ("}", "}"), ("}", "{"), ("[", "]"), ("%", "s"), ("%", "%"), ("{", "{")]
+        trace = DecodeTrace(tuple(StepOutcome(guessed=g, truth=t) for g, t in pairs))
+        line = render_guess_line(trace, ansi=ansi)
+        assert line == oracle_guess_line(trace, ansi)
+        assert line == ("\x1b[31m{\x1b[0m}\x1b[31m}\x1b[0m\x1b[31m[\x1b[0m\x1b[31m%\x1b[0m%{"
+                        if ansi else "[{]}[}][[][%]%{")
 
 
 class TestLossless:

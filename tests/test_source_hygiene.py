@@ -1,0 +1,52 @@
+"""Static checks over the package source, in place of a linter.
+
+The runtime is stdlib only, so every absolute import must name a standard
+library module. And every name a module imports must be used in it;
+`__init__.py` is exempt, because it imports to re-export.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "rwc").glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def imports(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_the_package_has_sources():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "model.py", "rewind.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_absolute_imports_are_stdlib(path):
+    modules = []
+    for node in imports(parse(path)):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif node.level == 0:
+            modules.append(node.module)
+    foreign = [m for m in modules if m.partition(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_imported_names_are_used(path):
+    tree = parse(path)
+    bound = []
+    for node in imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound.append(alias.asname or alias.name.partition(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name in bound if name not in used] == []
