@@ -18,7 +18,7 @@ from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .model import BOS, Alphabet, ContextModel, serialize_model
-from .rewind import DecodeTrace, encode_document, run_trace
+from .rewind import DecodeTrace, _PlanCache, encode_document, run_trace
 from .selector import SelectorParams
 
 ACCEPTANCE_SEED = 0xDEADBEEF
@@ -95,9 +95,14 @@ def evaluate(
     *,
     lossless: bool = False,
 ) -> tuple[ScoreReport, DecodeTrace]:
-    """Encode, decode with reveals, and score one document."""
-    hints, report = encode_document(model, params, text, lossless=lossless)
-    trace = run_trace(model, params, hints, text, lossless=lossless)
+    """Encode, decode with reveals, and score one document.
+
+    The decode walks the same contexts as the encode, so both share one plan
+    cache and each plan is built once.
+    """
+    plans = _PlanCache(model, params, lossless)
+    hints, report = encode_document(model, params, text, lossless=lossless, plans=plans)
+    trace = run_trace(model, params, hints, text, lossless=lossless, plans=plans)
     if trace.errors != report.skipped:
         raise AssertionError(
             f"decoder made {trace.errors} errors but encoder skipped {report.skipped}"

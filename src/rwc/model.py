@@ -244,12 +244,14 @@ def train(
         raise ValueError(f"order {order} is not in 0..{MAX_ORDER}")
     if alphabet is None:
         alphabet = build_alphabet(corpus)
-    ids = alphabet.encode(corpus)
-    padded = [BOS] * order + ids
     counts: Table = {}
-    for i, sym in enumerate(ids):
-        row = counts.setdefault(tuple(padded[i : i + order]), {})
+    ctx = (BOS,) * order
+    for sym in alphabet.encode(corpus):
+        row = counts.get(ctx)
+        if row is None:
+            row = counts[ctx] = {}
         row[sym] = row.get(sym, 0) + 1
+        ctx = (ctx + (sym,))[1:]
     return ContextModel(alphabet, order, smoothing, counts)
 
 

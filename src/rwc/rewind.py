@@ -86,9 +86,11 @@ class _PlanCache(dict):
 
     A plan is the kept member ids in kept order, their frequency table, and
     each member's index in that order. Both encoder and decoder build plans
-    through this class from the same (model, params), so their kept sets
-    agree at every position by construction. Contexts repeat constantly, so
-    after its first lookup a plan is one dict entry.
+    through this class from the same (model, params, lossless), so their
+    kept sets agree at every position by construction. Contexts repeat
+    constantly, so after its first lookup a plan is one dict entry. One
+    cache may serve an encode and a decode walk of the same text, which then
+    builds each plan once.
     """
 
     def __init__(self, model: ContextModel, params: SelectorParams, lossless: bool):
@@ -108,16 +110,33 @@ class _PlanCache(dict):
         return plan
 
 
+def _plans_for(
+    model: ContextModel, params: SelectorParams, lossless: bool, plans: _PlanCache | None
+) -> _PlanCache:
+    """`plans` when it was built for this (model, params, lossless), or a new cache if None."""
+    if plans is None:
+        return _PlanCache(model, params, lossless)
+    if plans.model is not model or plans.params != params or plans.lossless != lossless:
+        raise ValueError("plan cache was built for another model, params or lossless mode")
+    return plans
+
+
 def encode_document(
     model: ContextModel,
     params: SelectorParams,
     text: str,
     *,
     lossless: bool = False,
+    plans: _PlanCache | None = None,
 ) -> tuple[HintsFile, EncodeReport]:
-    """Produce the hints file for `text` plus kept/skipped accounting."""
+    """Produce the hints file for `text` plus kept/skipped accounting.
+
+    `plans` lends the walk a plan cache built for the same (model, params,
+    lossless), so a later decode can reuse its plans; a mismatched cache
+    raises ValueError.
+    """
     syms = model.alphabet.encode(text)
-    plans = _PlanCache(model, params, lossless)
+    plans = _plans_for(model, params, lossless, plans)
     enc = Encoder()
     skipped = 0
     ctx = context_key(model.order, ())
@@ -139,6 +158,7 @@ class DecoderSession:
     revealed). reveal(truth) either commits the guess or rewinds the coder,
     and always shifts the truth into the order-k context. The session's
     state is that context and the coder, plus a position for error messages.
+    `plans` is as in `encode_document`.
     """
 
     def __init__(
@@ -148,10 +168,11 @@ class DecoderSession:
         hints: HintsFile | bytes,
         *,
         lossless: bool = False,
+        plans: _PlanCache | None = None,
     ):
         payload = hints.payload if isinstance(hints, HintsFile) else bytes(hints)
         self.model = model
-        self._plans = _PlanCache(model, params, lossless)
+        self._plans = _plans_for(model, params, lossless, plans)
         self._decoder = Decoder(payload)
         self._ctx = context_key(model.order, ())
         self._position = 0
@@ -186,9 +207,10 @@ def run_trace(
     text: str,
     *,
     lossless: bool = False,
+    plans: _PlanCache | None = None,
 ) -> DecodeTrace:
     """Drive a DecoderSession over `text` and collect every step."""
-    session = DecoderSession(model, params, hints, lossless=lossless)
+    session = DecoderSession(model, params, hints, lossless=lossless, plans=plans)
     steps = [session.reveal(ch) for ch in text]
     return DecodeTrace(steps=tuple(steps))
 
@@ -207,6 +229,8 @@ def decode_text(
     contain every character); then this is the exact inverse of
     encode_document.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     session = DecoderSession(model, params, hints, lossless=lossless)
     out = []
     for _ in range(n):

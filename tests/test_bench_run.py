@@ -1,8 +1,10 @@
-"""The benchmark's traced run on the lossless workload, from a fresh copy.
+"""The benchmark's traced runs, each from a fresh copy of the checkout.
 
 bytes-lossless is the only workload whose plans come from `full_support`
-rather than `select_kept`, so this run covers the lossless plan path under
-the tracer's wrappers. The copy keeps `bench/out/` of the checkout untouched.
+rather than `select_kept`, so its run covers the lossless plan path under
+the tracer's wrappers. text-k4 builds thousands of plans, so its run counts
+how many one traced evaluate builds. The copy keeps `bench/out/` of the
+checkout untouched.
 """
 
 import json
@@ -11,20 +13,35 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_lossless_run_is_correct(tmp_path):
+def traced_run(tmp_path, workload):
+    """The JSON record of `bench/run.py --seconds 0 --trace 1` on one workload."""
     skip = shutil.ignore_patterns("out", "__pycache__")
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=skip)
     shutil.copytree(ROOT / "bench", tmp_path / "bench", ignore=skip)
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "bytes-lossless",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seconds", "0", "--trace", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0)
-    assert result["metrics"]["selector.kept_mean"]["value"] == 256
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def test_traced_lossless_run_is_correct(tmp_path):
+    assert traced_run(tmp_path, "bytes-lossless")["selector.kept_mean"] == 256
+
+
+def test_traced_evaluate_builds_each_text_plan_once(tmp_path):
+    # The decode walk reuses the encode walk's plans: one build per distinct
+    # context of the held-out text at the default seed.
+    metrics = traced_run(tmp_path, "text-k4")
+    assert metrics["rewind.plan.builds"] == metrics["selector.select.calls"] == 5_338
+    assert metrics["selector.kept_mean"] == pytest.approx(1.6122, abs=5e-5)

@@ -1,7 +1,10 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import rwc.harness
 import rwc.rewind
 from rwc.harness import (
     ACCEPTANCE_SEED,
@@ -20,7 +23,53 @@ from rwc.harness import (
     uniform_byte_model,
 )
 from rwc.coder import FrequencyTable
-from rwc.model import context_key, predict, serialize_model, train
+from rwc.model import Alphabet, context_key, predict, serialize_model, train
+from rwc.rewind import encode_document, run_trace
+
+PLAN_CORPUS = "the cat sat on the mat; the rat ate the hat."
+
+
+def count_plan_stages(monkeypatch) -> Counter:
+    """Count calls of each plan-build stage from now on.
+
+    Per-layer tracing times a plan build by wrapping these same globals, so
+    every build must call each stage through them.
+    """
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in ("predict", "select_kept", "full_support", "quantize"):
+        monkeypatch.setattr(rwc.rewind, name, counting(name, getattr(rwc.rewind, name)))
+    from_freqs = counting("from_freqs", FrequencyTable.from_freqs)
+    monkeypatch.setattr(FrequencyTable, "from_freqs", staticmethod(from_freqs))
+    return calls
+
+
+def stage_counts(model, text, lossless) -> dict[str, int]:
+    """One call of each plan stage per distinct context of `text`."""
+    syms = model.alphabet.encode(text)
+    contexts = {context_key(model.order, syms[:i]) for i in range(len(syms))}
+    select = "full_support" if lossless else "select_kept"
+    return {name: len(contexts) for name in ("predict", select, "quantize", "from_freqs")}
+
+
+@st.composite
+def evaluations(draw):
+    """A model trained on a drawn corpus, and a text over its alphabet."""
+    glyphs = "ETA\u00e9\U0001f600"
+    corpus = draw(st.text(alphabet=glyphs, min_size=1, max_size=40))
+    model = train(
+        corpus,
+        draw(st.integers(0, 3)),
+        draw(st.sampled_from([0.0, 0.05, 1.0])),
+        alphabet=Alphabet(tuple(glyphs)),
+    )
+    return model, draw(st.text(alphabet=glyphs, max_size=60))
 
 
 class TestSplitMix64:
@@ -201,30 +250,48 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("lossless", [False, True])
     def test_plan_stages_run_once_per_context_per_walk(self, monkeypatch, params, lossless):
-        # Per-layer tracing times a plan build by wrapping these globals, so
-        # every build must call each stage through them: once per distinct
-        # context in the encode walk and once more in the decode walk.
-        corpus = "the cat sat on the mat; the rat ate the hat."
-        model = train(corpus, 3, 0.1)
-        text = corpus[::-1]
-        calls = Counter()
-
-        def counting(name, fn):
-            def counted(*args):
-                calls[name] += 1
-                return fn(*args)
-            return counted
-
-        for name in ("predict", "select_kept", "full_support", "quantize"):
-            monkeypatch.setattr(rwc.rewind, name, counting(name, getattr(rwc.rewind, name)))
-        from_freqs = counting("from_freqs", FrequencyTable.from_freqs)
-        monkeypatch.setattr(FrequencyTable, "from_freqs", staticmethod(from_freqs))
+        # The decode walk reuses the plans of the encode walk over the same
+        # text, so one evaluate builds each distinct context's plan once.
+        model = train(PLAN_CORPUS, 3, 0.1)
+        text = PLAN_CORPUS[::-1]
+        calls = count_plan_stages(monkeypatch)
         evaluate(model, params, text, lossless=lossless)
-        syms = model.alphabet.encode(text)
-        contexts = {context_key(3, syms[:i]) for i in range(len(syms))}
-        select = "full_support" if lossless else "select_kept"
-        stages = ("predict", select, "quantize", "from_freqs")
-        assert calls == {name: 2 * len(contexts) for name in stages}
+        assert calls == stage_counts(model, text, lossless)
+
+    @pytest.mark.parametrize("lossless", [False, True])
+    def test_standalone_walks_each_build_every_plan(self, monkeypatch, params, lossless):
+        model = train(PLAN_CORPUS, 3, 0.1)
+        text = PLAN_CORPUS[::-1]
+        hints, _ = encode_document(model, params, text, lossless=lossless)
+        calls = count_plan_stages(monkeypatch)
+        encode_document(model, params, text, lossless=lossless)
+        assert calls == stage_counts(model, text, lossless)
+        calls.clear()
+        run_trace(model, params, hints, text, lossless=lossless)
+        assert calls == stage_counts(model, text, lossless)
+
+    @given(evaluations(), st.booleans())
+    def test_matches_a_standalone_encode_and_decode(self, params, case, lossless):
+        model, text = case
+        encoded = []
+
+        def recording(*args, **kwargs):
+            encoded.append(encode_document(*args, **kwargs))
+            return encoded[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rwc.harness, "encode_document", recording)
+            report, trace = evaluate(model, params, text, lossless=lossless)
+        hints, encoded_report = encode_document(model, params, text, lossless=lossless)
+        alone = run_trace(model, params, hints, text, lossless=lossless)
+        assert [got for got, _ in encoded] == [hints]
+        assert report == ScoreReport(
+            hint_bytes=hints.byte_length,
+            errors=alone.errors,
+            kept=encoded_report.kept,
+            model_bytes=len(serialize_model(model)),
+        )
+        assert trace.steps == alone.steps
 
 
 class TestFixtureModels:

@@ -118,6 +118,31 @@ class TestTrain:
         total = sum(sum(row.values()) for row in m.tables[k].values())
         assert total == len(corpus)
 
+    @given(
+        st.text(alphabet="ABé中\U0001f600\U00010348", min_size=1, max_size=80),
+        st.integers(0, MAX_ORDER),
+        st.sampled_from([0.0, 0.1, 1.0]),
+        st.booleans(),
+    )
+    def test_rolling_context_counts_as_slicing_windows(self, corpus, k, beta, explicit):
+        # `train` carries its context from window to window; this copy slices
+        # every window out of the padded corpus instead.
+        def slicing_train(corpus, order, smoothing, alphabet):
+            ids = alphabet.encode(corpus)
+            padded = [BOS] * order + ids
+            counts = {}
+            for i, sym in enumerate(ids):
+                row = counts.setdefault(tuple(padded[i : i + order]), {})
+                row[sym] = row.get(sym, 0) + 1
+            return ContextModel(alphabet, order, smoothing, counts)
+
+        # an explicit alphabet reserves glyphs the corpus lacks, in its own order
+        alphabet = Alphabet(("\U0010fffd", *sorted(set(corpus), reverse=True))) if explicit else None
+        m = train(corpus, k, beta, alphabet=alphabet)
+        oracle = slicing_train(corpus, k, beta, m.alphabet)
+        assert m == oracle
+        assert serialize_model(m) == serialize_model(oracle)
+
 
 class TestPredict:
     def test_chain_state_after_a(self, chain_model):

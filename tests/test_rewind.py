@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rwc.harness import SplitMix64, gen_iid, IidSource, model_from_iid
+from rwc.harness import (
+    SplitMix64, gen_iid, IidSource, model_from_chain, model_from_iid, two_state_chain,
+)
 from rwc.model import UnknownCharacterError, predict
 from rwc.rewind import (
     DecoderSession,
+    _PlanCache,
     DecodeTrace,
     HintsFile,
     StepOutcome,
@@ -17,7 +20,7 @@ from rwc.rewind import (
     render_trace,
     run_trace,
 )
-from rwc.selector import select_kept
+from rwc.selector import SelectorParams, select_kept
 
 
 def skipped_flags(model, params, text):
@@ -232,6 +235,44 @@ class TestLossless:
         trace = run_trace(chain_model, params, hints, text, lossless=True)
         assert trace.errors == 0
         assert trace.decoded == text
+
+    def test_negative_count_rejected(self, eta_model, params):
+        hints, _ = encode_document(eta_model, params, "ETE", lossless=True)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            decode_text(eta_model, params, hints, -3, lossless=True)
+
+
+class TestSharedPlans:
+    TEXT = "ETAHTETTTEASTE"
+
+    @pytest.mark.parametrize("other", ["model", "params", "lossless"])
+    def test_cache_built_for_other_inputs_is_refused(self, chain_model, params, other):
+        twin = model_from_chain(two_state_chain())  # equal, but another object
+        assert twin == chain_model
+        built_for = {
+            "model": (twin, params, False),
+            "params": (chain_model, SelectorParams(alpha=0.5), False),
+            "lossless": (chain_model, params, True),
+        }[other]
+        plans = _PlanCache(*built_for)
+        hints, _ = encode_document(chain_model, params, self.TEXT)
+        with pytest.raises(ValueError, match="plan cache"):
+            encode_document(chain_model, params, self.TEXT, plans=plans)
+        with pytest.raises(ValueError, match="plan cache"):
+            DecoderSession(chain_model, params, hints, plans=plans)
+        with pytest.raises(ValueError, match="plan cache"):
+            run_trace(chain_model, params, hints, self.TEXT, plans=plans)
+        assert not plans
+
+    def test_decode_reuses_the_plans_of_its_encode(self, chain_model, params):
+        # equal params in another object, and a lossless flag equal to True, match
+        plans = _PlanCache(chain_model, SelectorParams(alpha=params.alpha), 1)
+        hints, _ = encode_document(chain_model, params, self.TEXT, lossless=True, plans=plans)
+        built = dict(plans)
+        trace = run_trace(chain_model, params, hints, self.TEXT, lossless=True, plans=plans)
+        assert trace.decoded == self.TEXT and trace.errors == 0
+        assert plans == built
+        assert all(plans[ctx] is plan for ctx, plan in built.items())
 
 
 class TestPipelineInvariants:
