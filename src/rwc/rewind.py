@@ -11,12 +11,14 @@ the same kept set (both sides derive it from the same revealed context). A
 correct guess commits the consumed bits. A wrong guess means the decoded hint
 symbol belongs to some later position, so the coder is rewound to its
 checkpoint and the same bits are reinterpreted once the context has grown by
-the revealed true character.
+the revealed true character. A decode trace is the guess line and the
+revealed text, two strings; every per-position view derives from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ne
 
 from .coder import Decoder, Encoder, FrequencyTable, quantize
 from .model import ContextModel, UnknownCharacterError, context_key, predict
@@ -48,7 +50,7 @@ class EncodeReport:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """One reveal: the guess and the true character."""
+    """One reveal, as `DecoderSession.reveal` returns it: the guess and the true character."""
 
     guessed: str
     truth: str
@@ -65,20 +67,23 @@ class StepOutcome:
 
 @dataclass(frozen=True)
 class DecodeTrace:
-    steps: tuple[StepOutcome, ...]
+    """The guess at every position, and the revealed text it was shown against."""
+
+    guesses: str
+    decoded: str
 
     @property
     def errors(self) -> int:
-        return sum(1 for s in self.steps if not s.correct)
+        return sum(map(ne, self.guesses, self.decoded))
 
     @property
     def kept(self) -> int:
-        return sum(1 for s in self.steps if s.correct)
+        return len(self.decoded) - self.errors
 
     @property
-    def decoded(self) -> str:
-        """The reconstructed text: guesses, corrected by reveals."""
-        return "".join(s.truth for s in self.steps)
+    def steps(self) -> tuple[StepOutcome, ...]:
+        """Per-position outcomes, rebuilt on each access."""
+        return tuple(map(StepOutcome, self.guesses, self.decoded))
 
 
 class _PlanCache(dict):
@@ -209,10 +214,9 @@ def run_trace(
     lossless: bool = False,
     plans: _PlanCache | None = None,
 ) -> DecodeTrace:
-    """Drive a DecoderSession over `text` and collect every step."""
+    """Drive a DecoderSession over `text`; the trace is its guess line and `text`."""
     session = DecoderSession(model, params, hints, lossless=lossless, plans=plans)
-    steps = [session.reveal(ch) for ch in text]
-    return DecodeTrace(steps=tuple(steps))
+    return DecodeTrace("".join([session.reveal(ch).guessed for ch in text]), text)
 
 
 def decode_text(
@@ -232,18 +236,13 @@ def decode_text(
     if n < 0:
         raise ValueError("n must be >= 0")
     session = DecoderSession(model, params, hints, lossless=lossless)
-    out = []
-    for _ in range(n):
-        guess = session.next_guess()
-        session.reveal(guess)
-        out.append(guess)
-    return "".join(out)
+    return "".join([session.reveal(session.next_guess()).guessed for _ in range(n)])
 
 
 def render_guess_line(trace: DecodeTrace, ansi: bool = False) -> str:
     """One character per position: the guess, marked when it was wrong."""
     wrong = ("\x1b[31m{}\x1b[0m" if ansi else "[{}]").format
-    return "".join(s.guessed if s.correct else wrong(s.guessed) for s in trace.steps)
+    return "".join(g if g == t else wrong(g) for g, t in zip(trace.guesses, trace.decoded))
 
 
 def render_trace(trace: DecodeTrace, ansi: bool = False) -> str:

@@ -291,7 +291,7 @@ class TestEvaluate:
             kept=encoded_report.kept,
             model_bytes=len(serialize_model(model)),
         )
-        assert trace.steps == alone.steps
+        assert trace == alone
 
 
 class TestFixtureModels:

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rwc.harness import (
-    SplitMix64, gen_iid, IidSource, model_from_chain, model_from_iid, two_state_chain,
+    SplitMix64, gen_iid, gen_markov, IidSource, model_from_chain, model_from_iid,
+    two_state_chain,
 )
 from rwc.model import UnknownCharacterError, predict
 from rwc.rewind import (
@@ -13,7 +15,6 @@ from rwc.rewind import (
     _PlanCache,
     DecodeTrace,
     HintsFile,
-    StepOutcome,
     decode_text,
     encode_document,
     render_guess_line,
@@ -183,6 +184,24 @@ class TestRunTrace:
         assert trace.errors == report.skipped
 
 
+class TestTraceMemory:
+    def test_trace_does_not_grow_by_an_object_per_position(self, params):
+        # A trace keeps the guess line and the text: about a byte a position,
+        # where a frozen object per position costs about a hundred.
+        model = model_from_chain(two_state_chain())
+        text = gen_markov(two_state_chain(), 10_000, 5)
+        hints, _ = encode_document(model, params, text)
+        run_trace(model, params, hints, text)  # warm up: plans and interned glyphs
+        tracemalloc.start()
+        try:
+            trace = run_trace(model, params, hints, text)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.decoded == text and trace.errors > 0
+        assert retained < 64 * 1024 + len(text)
+
+
 class TestRender:
     def test_bracketed_guess_line(self, chain_model, params):
         hints, _ = encode_document(chain_model, params, "ETAHTETTT")
@@ -215,7 +234,7 @@ class TestRender:
             return "".join(parts)
 
         pairs = [("{", "a"), ("}", "}"), ("}", "{"), ("[", "]"), ("%", "s"), ("%", "%"), ("{", "{")]
-        trace = DecodeTrace(tuple(StepOutcome(guessed=g, truth=t) for g, t in pairs))
+        trace = DecodeTrace("".join(g for g, _ in pairs), "".join(t for _, t in pairs))
         line = render_guess_line(trace, ansi=ansi)
         assert line == oracle_guess_line(trace, ansi)
         assert line == ("\x1b[31m{\x1b[0m}\x1b[31m}\x1b[0m\x1b[31m[\x1b[0m\x1b[31m%\x1b[0m%{"

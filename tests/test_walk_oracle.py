@@ -131,9 +131,13 @@ def test_walk_matches_the_history_walk(model, data, foreign, lossless):
     assert (hints.payload, hints.bit_count, report.kept, report.skipped) == want
 
     for payload in (hints.payload, foreign):
-        steps = run_trace(model, PARAMS, payload, text, lossless=lossless).steps
-        got = [(s.guessed, s.truth, s.rewound) for s in steps]
-        assert got == oracle_steps(model, PARAMS, payload, text, lossless)
+        trace = run_trace(model, PARAMS, payload, text, lossless=lossless)
+        oracle = oracle_steps(model, PARAMS, payload, text, lossless)
+        assert [(s.guessed, s.truth, s.rewound) for s in trace.steps] == oracle
+        errors = sum(rewound for _, _, rewound in oracle)
+        assert trace.guesses == "".join(guessed for guessed, _, _ in oracle)
+        assert trace.decoded == text
+        assert (trace.errors, trace.kept) == (errors, len(text) - errors)
         assert decode_text(model, PARAMS, payload, len(text), lossless=lossless) == (
             oracle_decode_text(model, PARAMS, payload, len(text), lossless)
         )
