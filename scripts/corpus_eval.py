@@ -15,7 +15,6 @@ from rwc.harness import (
     eta_source,
     evaluate,
     gen_bytes,
-    gen_iid,
     gen_markov,
     two_state_chain,
 )
@@ -28,7 +27,7 @@ def load_corpus(args):
         with open(args.corpus, encoding="utf-8", newline="") as handle:
             return handle.read()
     if args.kind == "eta":
-        return gen_iid(eta_source(), args.chars, args.seed)
+        return gen_markov(eta_source(), args.chars, args.seed)
     if args.kind == "chain":
         return gen_markov(two_state_chain(), args.chars, args.seed)
     return gen_bytes(args.chars, args.seed).decode("latin-1")

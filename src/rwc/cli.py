@@ -4,7 +4,8 @@ gen, analyze.
 The threshold alpha is fixed by the 2L+E objective, so no subcommand takes a
 tolerance and encode and decode always agree on it. Text I/O is raw UTF-8
 with no newline normalization; file writes go through a temp file and
-rename. Exit codes: 0 success, 1 generic failure, 2 missing file, 3 malformed
+rename. Exit codes: 0 success, 1 generic failure, 2 missing file or an
+argument that argparse rejects (missing, unknown or ill-typed), 3 malformed
 model file, 4 character outside the model alphabet. Decode errors are data,
 not failures, and exit 0.
 """
@@ -21,7 +22,6 @@ from .harness import (
     ScoreReport,
     eta_source,
     gen_bytes,
-    gen_iid,
     gen_markov,
     evaluate,
     two_state_chain,
@@ -36,7 +36,7 @@ from .model import (
     surprise,
     train,
 )
-from .rewind import DecodeTrace, encode_document, render_trace, run_trace
+from .rewind import DecodeTrace, HintsFile, encode_document, render_trace, run_trace
 from .selector import SelectorParams, full_support, marginal_f
 
 
@@ -100,7 +100,7 @@ def cmd_encode(args) -> int:
 
 def _trace(args) -> DecodeTrace:
     model = _load_model(args.model)
-    hints, text = _read_bytes(args.hints), _read_text(args.text)
+    hints, text = HintsFile(_read_bytes(args.hints)), _read_text(args.text)
     return run_trace(model, SelectorParams.default(), hints, text)
 
 
@@ -147,7 +147,7 @@ def cmd_gen(args) -> int:
     if args.kind == "bytes":
         data = gen_bytes(args.count, args.seed)
     elif args.kind == "eta":
-        data = gen_iid(eta_source(), args.count, args.seed).encode("utf-8")
+        data = gen_markov(eta_source(), args.count, args.seed).encode("utf-8")
     else:
         data = gen_markov(two_state_chain(), args.count, args.seed).encode("utf-8")
     if args.out:

@@ -124,20 +124,21 @@ class Encoder:
             self.low <<= 1
             self.high = (self.high << 1) | 1
 
-    def finish(self) -> tuple[bytes, int]:
-        """Close the stream; returns (payload, payload length in bits).
+    def finish(self) -> bytes:
+        """Close the stream and return the payload.
 
         The renormalized interval always contains HALF, so a single 1 bit
         (plus deferred underflow bits) pins the zero-padded stream inside it;
         when low is exactly 0 the all-zeros continuation already is. Trailing
-        zero bits are stripped because the decoder regenerates them.
+        zero bits are stripped because the decoder regenerates them, so the
+        stream ends on the payload's last 1 bit and only byte padding follows.
         """
         if self.low != 0 or self.pending:
             self._emit(b"1", b"0")
         bits = self._bits.rstrip(b"0")
         n = len(bits)
         # base-2 int() is exempt from CPython's limit on decimal digits
-        return (int(bits or b"0", 2) << (-n % 8)).to_bytes((n + 7) // 8, "big"), n
+        return (int(bits or b"0", 2) << (-n % 8)).to_bytes((n + 7) // 8, "big")
 
 
 class Decoder:

@@ -13,7 +13,7 @@ suite is reproducible bit for bit.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
 
@@ -144,21 +144,12 @@ class ChainSource:
                 if nxt not in self.rows:
                     raise ValueError(f"transition to unknown state {nxt!r}")
 
-
-@dataclass(frozen=True)
-class IidSource:
-    """Independent draws: glyphs with their probabilities, in sampling order.
-    `chain` is the same source as a one-state chain; building it checks the probabilities."""
-
-    glyphs: tuple[str, ...]
-    probs: tuple[float, ...]
-    chain: ChainSource = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.glyphs) != len(self.probs):
+    @classmethod
+    def iid(cls, glyphs: Sequence[str], probs: Sequence[float]) -> "ChainSource":
+        """Independent draws of `glyphs` with `probs`, in sampling order: a one-state chain."""
+        if len(glyphs) != len(probs):
             raise ValueError("need one probability per glyph")
-        row = tuple((g, p, "") for g, p in zip(self.glyphs, self.probs))
-        object.__setattr__(self, "chain", ChainSource(start="", rows={"": row}))
+        return cls(start="", rows={"": tuple((g, p, "") for g, p in zip(glyphs, probs))})
 
 
 def _pick(cum: Sequence[float], u: float) -> int:
@@ -166,11 +157,6 @@ def _pick(cum: Sequence[float], u: float) -> int:
     # row entry; the clamp maps it to that entry.
     i = bisect_right(cum, u) - 1
     return min(i, len(cum) - 2)
-
-
-def gen_iid(source: IidSource, n: int, seed: int) -> str:
-    """n independent draws from `source`, reproducible from the seed."""
-    return gen_markov(source.chain, n, seed)
 
 
 def gen_markov(chain: ChainSource, n: int, seed: int) -> str:
@@ -205,9 +191,8 @@ def gen_bytes(n: int, seed: int) -> bytes:
 ETA_PROBS = (("E", 0.49), ("T", 0.49), ("A", 0.02))
 
 
-def eta_source() -> IidSource:
-    glyphs, probs = zip(*ETA_PROBS)
-    return IidSource(glyphs=glyphs, probs=probs)
+def eta_source() -> ChainSource:
+    return ChainSource.iid(*zip(*ETA_PROBS))
 
 
 def two_state_chain() -> ChainSource:
@@ -232,14 +217,16 @@ def _row_counts(chain: ChainSource, state: str, alphabet: Alphabet, scale: int) 
     return out
 
 
-def model_from_iid(source: IidSource, scale: int = 100) -> ContextModel:
-    """Order-0 model whose single context reproduces `source` exactly.
+def model_from_iid(source: ChainSource, scale: int = 100) -> ContextModel:
+    """Order-0 model whose single context reproduces a one-state `source` exactly.
 
-    Probabilities are stored as integer counts (p times scale), so scale must
-    make every probability an integer.
+    Glyphs get ids in row order. Probabilities are stored as integer counts
+    (p times scale), so scale must make every probability an integer.
     """
-    alphabet = Alphabet(source.glyphs)
-    counts = _row_counts(source.chain, source.chain.start, alphabet, scale)
+    if len(source.rows) != 1:
+        raise ValueError("an order-0 model needs a one-state source")
+    alphabet = Alphabet(tuple(g for g, _, _ in source.rows[source.start]))
+    counts = _row_counts(source, source.start, alphabet, scale)
     return ContextModel.from_counts(alphabet, 0, {(): counts})
 
 
@@ -268,6 +255,4 @@ def model_from_chain(chain: ChainSource, scale: int = 100) -> ContextModel:
 
 def uniform_byte_model() -> ContextModel:
     """Order-0 uniform model over all 256 byte values (as latin-1 glyphs)."""
-    alphabet = Alphabet(tuple(chr(b) for b in range(256)))
-    counts = {(): {sym: 1 for sym in range(1, 257)}}
-    return ContextModel.from_counts(alphabet, 0, counts)
+    return model_from_iid(ChainSource.iid([chr(b) for b in range(256)], [1 / 256] * 256), 256)

@@ -30,11 +30,12 @@ class HintsFile:
     """The compressed side channel: raw coder payload, no header."""
 
     payload: bytes
-    bit_count: int
 
-    def __post_init__(self):
-        if self.bit_count < 0 or len(self.payload) != (self.bit_count + 7) // 8:
-            raise ValueError("payload length disagrees with bit count")
+    @property
+    def bit_count(self) -> int:
+        """Payload bits up to the last 1 bit; the encoder strips the zeros after it."""
+        n = int.from_bytes(self.payload, "big")
+        return 8 * len(self.payload) - (n & -n).bit_length() + 1 if n else 0
 
     @property
     def byte_length(self) -> int:
@@ -71,6 +72,10 @@ class DecodeTrace:
 
     guesses: str
     decoded: str
+
+    def __post_init__(self):
+        if len(self.guesses) != len(self.decoded):
+            raise ValueError("need one guess per revealed character")
 
     @property
     def errors(self) -> int:
@@ -136,6 +141,10 @@ def encode_document(
 ) -> tuple[HintsFile, EncodeReport]:
     """Produce the hints file for `text` plus kept/skipped accounting.
 
+    `lossless` keeps every symbol of positive probability, so a character the
+    model gives probability 0 (unseen in its context under smoothing 0) is
+    still skipped and counted in `skipped`.
+
     `plans` lends the walk a plan cache built for the same (model, params,
     lossless), so a later decode can reuse its plans; a mismatched cache
     raises ValueError.
@@ -153,7 +162,7 @@ def encode_document(
         else:
             enc.encode(table, idx)
         ctx = (ctx + (sym,))[1:]
-    return HintsFile(*enc.finish()), EncodeReport(kept=len(syms) - skipped, skipped=skipped)
+    return HintsFile(enc.finish()), EncodeReport(kept=len(syms) - skipped, skipped=skipped)
 
 
 class DecoderSession:
@@ -170,15 +179,14 @@ class DecoderSession:
         self,
         model: ContextModel,
         params: SelectorParams,
-        hints: HintsFile | bytes,
+        hints: HintsFile,
         *,
         lossless: bool = False,
         plans: _PlanCache | None = None,
     ):
-        payload = hints.payload if isinstance(hints, HintsFile) else bytes(hints)
         self.model = model
         self._plans = _plans_for(model, params, lossless, plans)
-        self._decoder = Decoder(payload)
+        self._decoder = Decoder(hints.payload)
         self._ctx = context_key(model.order, ())
         self._position = 0
         self._pending: tuple[int, tuple[int, int, int, int]] | None = None
@@ -208,7 +216,7 @@ class DecoderSession:
 def run_trace(
     model: ContextModel,
     params: SelectorParams,
-    hints: HintsFile | bytes,
+    hints: HintsFile,
     text: str,
     *,
     lossless: bool = False,
@@ -222,16 +230,16 @@ def run_trace(
 def decode_text(
     model: ContextModel,
     params: SelectorParams,
-    hints: HintsFile | bytes,
+    hints: HintsFile,
     n: int,
     *,
     lossless: bool = False,
 ) -> str:
     """Decode n characters with no truth channel: every guess is taken as true.
 
-    Only meaningful when the hints were encoded losslessly (or happen to
-    contain every character); then this is the exact inverse of
-    encode_document.
+    This is the exact inverse of encode_document only when its report had
+    `skipped == 0`, which `lossless` alone does not ensure. A skipped
+    character decodes as some other guess, and nothing here can tell.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

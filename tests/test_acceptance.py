@@ -13,12 +13,10 @@ from rwc.coder import TOTAL
 from rwc.harness import (
     ACCEPTANCE_SEED,
     ChainSource,
-    IidSource,
     SplitMix64,
     eta_source,
     evaluate,
     gen_bytes,
-    gen_iid,
     gen_markov,
     model_from_chain,
     model_from_iid,
@@ -158,7 +156,7 @@ def test_criterion_07_marginal_identity():
 
 def test_criterion_08_rate_law():
     with criterion(8, "lossless coding of 100k three-character text costs ~1.1214 bits/char"):
-        text = gen_iid(eta_source(), 100000, ACCEPTANCE_SEED)
+        text = gen_markov(eta_source(), 100000, ACCEPTANCE_SEED)
         model = model_from_iid(eta_source())
         start = time.perf_counter()
         hints, report = encode_document(model, PARAMS, text, lossless=True)
@@ -188,8 +186,8 @@ def _random_instance(rng):
         glyphs = tuple(_LETTERS[:size])
         counts = [1 + rng.next() % 50 for _ in range(size)]
         total = sum(counts)
-        source = IidSource(glyphs, tuple(c / total for c in counts))
-        sample = lambda n, seed: gen_iid(source, n, seed)
+        source = ChainSource.iid(glyphs, tuple(c / total for c in counts))
+        sample = lambda n, seed: gen_markov(source, n, seed)
         exact = lambda: model_from_iid(source, scale=total)
     else:
         emit_a = 2 + rng.next() % 3

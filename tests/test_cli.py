@@ -14,7 +14,6 @@ from rwc.harness import (
     eta_source,
     evaluate,
     gen_bytes,
-    gen_iid,
     gen_markov,
     model_from_chain,
     two_state_chain,
@@ -106,6 +105,14 @@ class TestTrain:
         code, _, err = run(capsys, "train", str(tmp_path / "nope.txt"), str(tmp_path / "m"))
         assert code == 2
         assert "missing file" in err
+
+    @pytest.mark.parametrize("argv", [["train"], ["train", "x", "y", "-k", "abc"]])
+    def test_missing_or_ill_typed_argument_exits_two(self, capsys, argv):
+        # argparse exits 2, the same code as a missing file
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: rwc train")
 
     def test_no_temp_file_left_behind(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
@@ -302,7 +309,7 @@ class TestGen:
     def test_stdout_and_out_file_hold_the_generator_output(self, tmp_path, capsysbinary,
                                                            kind, count):
         want = {
-            "eta": gen_iid(eta_source(), count, ACCEPTANCE_SEED).encode("utf-8"),
+            "eta": gen_markov(eta_source(), count, ACCEPTANCE_SEED).encode("utf-8"),
             "chain": gen_markov(two_state_chain(), count, ACCEPTANCE_SEED).encode("utf-8"),
             "bytes": gen_bytes(count, ACCEPTANCE_SEED),
         }[kind]

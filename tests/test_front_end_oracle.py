@@ -1,10 +1,11 @@
 """Differential tests of the front-end paths that go through the general code.
 
 `rwc analyze` counts with `train` and ranks with the selector, an IID source
-samples as a one-state chain, and `model_from_iid` shares the chain's count
-conversion. The oracles below are the earlier, separate bodies: a `Counter`
-with a hand sort, a sampling loop of its own, and a count loop of its own.
-Outputs must be equal, and bad sources must raise `ValueError` in both.
+is a one-state chain that `gen_markov` samples, and `model_from_iid` shares
+the chain's count conversion. The oracles below are the earlier, separate
+bodies: a `Counter` with a hand sort, a sampling loop of its own, and a count
+loop of its own, over the glyphs and probabilities as given. Outputs must be
+equal, and bad sources must raise `ValueError` in both.
 """
 
 import tempfile
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import rwc.cli
 from rwc.cli import main
-from rwc.harness import IidSource, SplitMix64, gen_iid, model_from_iid
+from rwc.harness import ChainSource, SplitMix64, gen_markov, model_from_iid
 from rwc.model import Alphabet, ContextModel, Distribution, entropy, surprise
 
 # --- the oracles ------------------------------------------------------------
@@ -44,24 +45,24 @@ def oracle_check_source(glyphs, probs):
         raise ValueError("probabilities must be nonnegative and sum to 1")
 
 
-def oracle_gen_iid(source, n, seed):
+def oracle_gen_iid(glyphs, probs, n, seed):
     if n < 0:
         raise ValueError("n must be >= 0")
     rng = SplitMix64(seed)
-    cum = list(accumulate(source.probs, initial=0.0))
+    cum = list(accumulate(probs, initial=0.0))
     cum[-1] = 1.0
     pick = lambda u: min(bisect_right(cum, u) - 1, len(cum) - 2)
-    return "".join(source.glyphs[pick(rng.uniform())] for _ in range(n))
+    return "".join(glyphs[pick(rng.uniform())] for _ in range(n))
 
 
-def oracle_model_from_iid(source, scale=100):
+def oracle_model_from_iid(glyphs, probs, scale=100):
     counts = {}
-    for g, p in zip(source.glyphs, source.probs):
+    for g, p in zip(glyphs, probs):
         c = round(p * scale)
         if abs(c - p * scale) > 1e-9:
             raise ValueError(f"probability {p} is not a multiple of 1/{scale}")
         counts[g] = c
-    alphabet = Alphabet(source.glyphs)
+    alphabet = Alphabet(glyphs)
     return ContextModel.from_counts(
         alphabet, 0, {(): {alphabet.id_of(g): c for g, c in counts.items()}}
     )
@@ -124,24 +125,27 @@ def test_analyze_matches_the_counter_oracle_on_the_readme(capsys):
 
 @st.composite
 def sources(draw):
-    """Distinct glyphs with probabilities count / total, and that total."""
+    """Distinct glyphs, their probabilities count / total, and that total."""
     glyphs = draw(st.lists(st.characters(), min_size=1, max_size=8, unique=True))
     counts = draw(st.lists(st.integers(1, 1000), min_size=len(glyphs), max_size=len(glyphs)))
     total = sum(counts)
-    return IidSource(tuple(glyphs), tuple(c / total for c in counts)), total
+    return tuple(glyphs), tuple(c / total for c in counts), total
 
 
 @given(sources(), st.integers(0, 400), st.integers(0, 2**64 - 1))
-def test_gen_iid_matches_the_sampling_loop(source_total, n, seed):
-    source, _ = source_total
-    assert gen_iid(source, n, seed) == oracle_gen_iid(source, n, seed)
+def test_gen_iid_matches_the_sampling_loop(source, n, seed):
+    glyphs, probs, _ = source
+    want = oracle_gen_iid(glyphs, probs, n, seed)
+    assert gen_markov(ChainSource.iid(glyphs, probs), n, seed) == want
 
 
 @given(sources(), st.sampled_from([None, 1, 7, 100, 1000]))
-def test_model_from_iid_matches_the_count_loop(source_total, scale):
-    source, total = source_total
+def test_model_from_iid_matches_the_count_loop(source, scale):
+    glyphs, probs, total = source
     scale = total if scale is None else scale
-    assert outcome(model_from_iid, source, scale) == outcome(oracle_model_from_iid, source, scale)
+    assert outcome(model_from_iid, ChainSource.iid(glyphs, probs), scale) == (
+        outcome(oracle_model_from_iid, glyphs, probs, scale)
+    )
 
 
 PROBS = st.one_of(
@@ -156,6 +160,6 @@ PROBS = st.one_of(
 )
 def test_bad_sources_raise_value_error_in_both(glyphs, probs):
     glyphs, probs = tuple(glyphs), tuple(probs)
-    assert (outcome(IidSource, glyphs, probs) is ValueError) == (
+    assert (outcome(ChainSource.iid, glyphs, probs) is ValueError) == (
         outcome(oracle_check_source, glyphs, probs) is ValueError
     )

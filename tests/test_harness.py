@@ -9,13 +9,11 @@ import rwc.rewind
 from rwc.harness import (
     ACCEPTANCE_SEED,
     ChainSource,
-    IidSource,
     ScoreReport,
     SplitMix64,
     eta_source,
     evaluate,
     gen_bytes,
-    gen_iid,
     gen_markov,
     model_from_chain,
     model_from_iid,
@@ -23,7 +21,7 @@ from rwc.harness import (
     uniform_byte_model,
 )
 from rwc.coder import FrequencyTable
-from rwc.model import Alphabet, context_key, predict, serialize_model, train
+from rwc.model import Alphabet, ContextModel, context_key, predict, serialize_model, train
 from rwc.rewind import encode_document, run_trace
 
 PLAN_CORPUS = "the cat sat on the mat; the rat ate the hat."
@@ -113,26 +111,26 @@ class TestSplitMix64:
         assert SplitMix64(seed).next() == mask
         assert SplitMix64(seed).uniform() == 1.0
         # u == 1.0 bisects past the row; the generators emit its last glyph
-        assert gen_iid(eta_source(), 1, seed) == "A"
+        assert gen_markov(eta_source(), 1, seed) == "A"
         assert gen_markov(two_state_chain(), 1, seed) == "A"
 
 
 class TestGenerators:
     def test_gen_iid_empty(self):
-        assert gen_iid(eta_source(), 0, 1) == ""
+        assert gen_markov(eta_source(), 0, 1) == ""
 
     def test_gen_iid_degenerate(self):
-        assert gen_iid(IidSource(("X",), (1.0,)), 5, 1) == "XXXXX"
+        assert gen_markov(ChainSource.iid(("X",), (1.0,)), 5, 1) == "XXXXX"
 
     def test_gen_iid_frequencies_at_shipped_seed(self):
-        text = gen_iid(eta_source(), 100000, ACCEPTANCE_SEED)
+        text = gen_markov(eta_source(), 100000, ACCEPTANCE_SEED)
         counts = Counter(text)
         assert counts["E"] / 100000 == pytest.approx(0.49, abs=0.01)
         assert counts["T"] / 100000 == pytest.approx(0.49, abs=0.01)
         assert counts["A"] / 100000 == pytest.approx(0.02, abs=0.01)
 
     def test_gen_iid_is_reproducible(self):
-        assert gen_iid(eta_source(), 500, 42) == gen_iid(eta_source(), 500, 42)
+        assert gen_markov(eta_source(), 500, 42) == gen_markov(eta_source(), 500, 42)
 
     def test_gen_markov_empty(self):
         assert gen_markov(two_state_chain(), 0, 1) == ""
@@ -170,7 +168,7 @@ class TestGenerators:
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            gen_iid(eta_source(), -1, 0)
+            gen_markov(eta_source(), -1, 0)
         with pytest.raises(ValueError):
             gen_markov(two_state_chain(), -1, 0)
         with pytest.raises(ValueError):
@@ -179,10 +177,10 @@ class TestGenerators:
 
 class TestSourceValidation:
     def test_iid_checks_lengths_and_mass(self):
-        with pytest.raises(ValueError):
-            IidSource(("A", "B"), (1.0,))
-        with pytest.raises(ValueError):
-            IidSource(("A", "B"), (0.7, 0.7))
+        with pytest.raises(ValueError, match="one probability per glyph"):
+            ChainSource.iid(("A", "B"), (1.0,))
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            ChainSource.iid(("A", "B"), (0.7, 0.7))
 
     def test_chain_checks_start_and_transitions(self):
         with pytest.raises(ValueError):
@@ -303,7 +301,11 @@ class TestFixtureModels:
 
     def test_iid_model_rejects_non_multiples(self):
         with pytest.raises(ValueError):
-            model_from_iid(IidSource(("A", "B"), (1 / 3, 2 / 3)), scale=100)
+            model_from_iid(ChainSource.iid(("A", "B"), (1 / 3, 2 / 3)), scale=100)
+
+    def test_iid_model_refuses_a_source_with_more_than_one_state(self):
+        with pytest.raises(ValueError, match="one-state source"):
+            model_from_iid(two_state_chain())
 
     def test_chain_model_glyphs_in_first_mention_order(self, chain_model):
         assert chain_model.alphabet.glyphs == ("E", "T", "A", "S", "H")
@@ -328,3 +330,8 @@ class TestFixtureModels:
         d = predict(m, [])
         assert len(m.alphabet.glyphs) == 256
         assert d.probs[1] == d.probs[256] == 1 / 256
+
+    def test_uniform_byte_model_matches_its_hand_built_counts(self):
+        alphabet = Alphabet(tuple(chr(b) for b in range(256)))
+        counts = {(): {sym: 1 for sym in range(1, 257)}}
+        assert uniform_byte_model() == ContextModel.from_counts(alphabet, 0, counts)

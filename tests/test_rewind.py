@@ -6,10 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rwc.harness import (
-    SplitMix64, gen_iid, gen_markov, IidSource, model_from_chain, model_from_iid,
-    two_state_chain,
+    ChainSource, SplitMix64, gen_markov, model_from_chain, model_from_iid, two_state_chain,
 )
-from rwc.model import UnknownCharacterError, predict
+from rwc.model import UnknownCharacterError, predict, train
 from rwc.rewind import (
     DecoderSession,
     _PlanCache,
@@ -37,17 +36,15 @@ def skipped_flags(model, params, text):
 
 class TestHintsFile:
     def test_byte_length_is_rounded_up_bits(self):
-        h = HintsFile(payload=b"\x67", bit_count=6)
-        assert h.byte_length == 1
+        h = HintsFile(b"\x64")
+        assert (h.bit_count, h.byte_length) == (6, 1)
 
-    def test_mismatched_payload_rejected(self):
-        with pytest.raises(ValueError):
-            HintsFile(payload=b"\x00\x00", bit_count=3)
-
-    def test_negative_bit_count_rejected(self):
-        # (-1 + 7) // 8 == 0 matches the empty payload's length
-        with pytest.raises(ValueError):
-            HintsFile(payload=b"", bit_count=-1)
+    @pytest.mark.parametrize(
+        "payload, bits",
+        [(b"", 0), (b"\0\0", 0), (b"\x67", 8), (b"\x80", 1), (b"\x01\x00", 8), (b"\0\x80\0", 9)],
+    )
+    def test_bit_count_ends_on_the_last_one_bit(self, payload, bits):
+        assert HintsFile(payload).bit_count == bits
 
 
 class TestEncodeDocument:
@@ -79,20 +76,20 @@ class TestEncodeDocument:
 
 class TestDecoderSession:
     def test_next_guess_is_idempotent(self, chain_model, params):
-        s = DecoderSession(chain_model, params, b"\x77")
+        s = DecoderSession(chain_model, params, HintsFile(b"\x77"))
         first = s.next_guess()
         consumed = s._decoder.bits_read
         assert s.next_guess() == first
         assert s._decoder.bits_read == consumed
 
     def test_guess_after_two_kept(self, chain_model, params):
-        s = DecoderSession(chain_model, params, b"\x77")
+        s = DecoderSession(chain_model, params, HintsFile(b"\x77"))
         for truth in "ET":
             s.reveal(truth)
         assert s.next_guess() == "T"
 
     def test_rewound_bit_reinterpreted_in_new_context(self, chain_model, params):
-        s = DecoderSession(chain_model, params, b"\x77")
+        s = DecoderSession(chain_model, params, HintsFile(b"\x77"))
         s.reveal("E")
         s.reveal("T")
         wrong = s.reveal("A")
@@ -100,24 +97,24 @@ class TestDecoderSession:
         assert s.next_guess() == "H"
 
     def test_empty_payload_guesses_the_favorite(self, eta_model, params):
-        s = DecoderSession(eta_model, params, b"")
+        s = DecoderSession(eta_model, params, HintsFile(b""))
         assert s.next_guess() == "E"
 
     def test_reveal_outside_alphabet_rejected(self, eta_model, params):
-        s = DecoderSession(eta_model, params, b"")
+        s = DecoderSession(eta_model, params, HintsFile(b""))
         with pytest.raises(UnknownCharacterError):
             s.reveal("X")
 
     @pytest.mark.parametrize("truth", ["ET", "", "\ud800"])
     def test_reveal_of_a_non_glyph_names_its_position(self, eta_model, params, truth):
-        s = DecoderSession(eta_model, params, b"")
+        s = DecoderSession(eta_model, params, HintsFile(b""))
         s.reveal("E")
         with pytest.raises(UnknownCharacterError) as exc:
             s.reveal(truth)
         assert (exc.value.char, exc.value.position) == (truth, 1)
 
     def test_reveal_of_an_unhashable_value_raises_type_error(self, eta_model, params):
-        s = DecoderSession(eta_model, params, b"")
+        s = DecoderSession(eta_model, params, HintsFile(b""))
         with pytest.raises(TypeError):
             s.reveal(["E"])
 
@@ -126,12 +123,6 @@ class TestDecoderSession:
         trace = run_trace(eta_model, params, hints, "AAA")
         assert trace.errors == 3
         assert all(s.rewound for s in trace.steps)
-
-    def test_accepts_hints_object_or_raw_bytes(self, chain_model, params):
-        hints, _ = encode_document(chain_model, params, "ETAHTETTT")
-        a = run_trace(chain_model, params, hints, "ETAHTETTT")
-        b = run_trace(chain_model, params, hints.payload, "ETAHTETTT")
-        assert a == b
 
 
 class TestRunTrace:
@@ -163,7 +154,7 @@ class TestRunTrace:
     def test_trailing_zero_padding_is_harmless(self, chain_model, params):
         hints, _ = encode_document(chain_model, params, "ETAHTETTT")
         a = run_trace(chain_model, params, hints, "ETAHTETTT")
-        b = run_trace(chain_model, params, hints.payload + b"\x00\x00", "ETAHTETTT")
+        b = run_trace(chain_model, params, HintsFile(hints.payload + b"\x00\x00"), "ETAHTETTT")
         assert a == b
 
     @given(
@@ -173,7 +164,7 @@ class TestRunTrace:
     )
     def test_any_bytes_decode_to_a_trace(self, chain_model, params, payload, text, lossless):
         # Errors are data: hints that were never encoded for `text` still decode.
-        trace = run_trace(chain_model, params, payload, text, lossless=lossless)
+        trace = run_trace(chain_model, params, HintsFile(payload), text, lossless=lossless)
         assert trace.decoded == text
         assert 0 <= trace.errors <= len(text)
 
@@ -182,6 +173,12 @@ class TestRunTrace:
         trace = run_trace(chain_model, params, hints, "ETAHTETTT")
         assert trace.kept == report.kept
         assert trace.errors == report.skipped
+
+    @pytest.mark.parametrize("guesses, decoded", [("ab", "abc"), ("abc", "ab"), ("a", "")])
+    def test_unequal_lengths_are_refused(self, guesses, decoded):
+        # a short guess line would count too few errors and too many kept
+        with pytest.raises(ValueError, match="one guess per revealed character"):
+            DecodeTrace(guesses, decoded)
 
 
 class TestTraceMemory:
@@ -243,7 +240,7 @@ class TestRender:
 
 class TestLossless:
     def test_decode_without_truth_channel(self, eta_model, params):
-        text = gen_iid(IidSource(("E", "T", "A"), (0.49, 0.49, 0.02)), 400, 11)
+        text = gen_markov(ChainSource.iid(("E", "T", "A"), (0.49, 0.49, 0.02)), 400, 11)
         hints, report = encode_document(eta_model, params, text, lossless=True)
         assert report.skipped == 0
         assert decode_text(eta_model, params, hints, len(text), lossless=True) == text
@@ -254,6 +251,20 @@ class TestLossless:
         trace = run_trace(chain_model, params, hints, text, lossless=True)
         assert trace.errors == 0
         assert trace.decoded == text
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    def test_decode_is_exact_only_when_nothing_was_skipped(self, params, order, smoothing):
+        # Lossless keeps every symbol of positive probability. Under smoothing 0
+        # a character unseen in its context has probability 0, so it is still
+        # skipped, and decode_text returns other text without an error.
+        corpus = "the cat sat on the mat and the rat ate the hat that sat on a mat"
+        model = train(corpus, order, smoothing)
+        text = "a rat sat on the cat that ate the mat"
+        hints, report = encode_document(model, params, text, lossless=True)
+        decoded = decode_text(model, params, hints, len(text), lossless=True)
+        assert (decoded == text) == (report.skipped == 0)
+        assert (report.skipped > 0) == (smoothing == 0.0 and order > 0)
 
     def test_negative_count_rejected(self, eta_model, params):
         hints, _ = encode_document(eta_model, params, "ETE", lossless=True)
@@ -297,11 +308,11 @@ class TestSharedPlans:
 class TestPipelineInvariants:
     def test_errors_equal_positions_outside_kept_sets(self, chain_model, params):
         rng = SplitMix64(99)
-        source = IidSource(("E", "T", "A"), (0.49, 0.49, 0.02))
+        source = ChainSource.iid(("E", "T", "A"), (0.49, 0.49, 0.02))
         model = model_from_iid(source)
         for trial in range(20):
             n = rng.next() % 120
-            text = gen_iid(source, n, rng.next())
+            text = gen_markov(source, n, rng.next())
             hints, report = encode_document(model, params, text)
             trace = run_trace(model, params, hints, text)
             flags = skipped_flags(model, params, text)
@@ -313,10 +324,10 @@ class TestPipelineInvariants:
     def test_rate_tracks_the_real_distribution_costs(self, params):
         # hint bits stay within 2 of the sum of per-character surprises
         rng = SplitMix64(4242)
-        source = IidSource(("E", "T", "A", "S"), (0.40, 0.30, 0.20, 0.10))
+        source = ChainSource.iid(("E", "T", "A", "S"), (0.40, 0.30, 0.20, 0.10))
         model = model_from_iid(source)
         for trial in range(10):
-            text = gen_iid(source, 500, rng.next())
+            text = gen_markov(source, 500, rng.next())
             hints, _ = encode_document(model, params, text)
             ideal = 0.0
             history = []

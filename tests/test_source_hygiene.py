@@ -2,7 +2,9 @@
 
 The runtime is stdlib only, so every absolute import must name a standard
 library module. And every name a module imports must be used in it;
-`__init__.py` is exempt, because it imports to re-export.
+`__init__.py` is exempt, because it imports to re-export. What it imports is
+exactly what `rwc.__all__` lists, once each and sorted, so a deleted name
+cannot leave a stale export behind.
 """
 
 import ast
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import rwc
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "rwc").glob("*.py"))
 
@@ -50,3 +54,11 @@ def test_imported_names_are_used(path):
             bound.append(alias.asname or alias.name.partition(".")[0])
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in bound if name not in used] == []
+
+
+def test_all_lists_each_imported_name_once_in_order():
+    init = next(p for p in SOURCES if p.name == "__init__.py")
+    imported = {alias.asname or alias.name for node in imports(parse(init)) for alias in node.names}
+    assert rwc.__all__ == sorted(rwc.__all__)
+    assert len(set(rwc.__all__)) == len(rwc.__all__)
+    assert set(rwc.__all__) == imported

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rwc.coder import Decoder, Encoder, FrequencyTable, quantize
 from rwc.model import Alphabet, ContextModel, UnknownCharacterError, context_key, predict
-from rwc.rewind import DecoderSession, decode_text, encode_document, run_trace
+from rwc.rewind import DecoderSession, HintsFile, decode_text, encode_document, run_trace
 from rwc.selector import SelectorParams, full_support, select_kept
 
 PARAMS = SelectorParams.default()
@@ -43,7 +43,7 @@ class OraclePlans:
 
 
 def oracle_encode(model, params, text, lossless):
-    """(payload, bit_count, kept, skipped)."""
+    """(payload, kept, skipped)."""
     syms = model.alphabet.encode(text)
     plans = OraclePlans(model, params, lossless)
     enc = Encoder()
@@ -57,8 +57,7 @@ def oracle_encode(model, params, text, lossless):
         else:
             enc.encode(table, idx)
         history.append(sym)
-    payload, bit_count = enc.finish()
-    return payload, bit_count, len(syms) - skipped, skipped
+    return enc.finish(), len(syms) - skipped, skipped
 
 
 class OracleSession:
@@ -128,21 +127,21 @@ def test_walk_matches_the_history_walk(model, data, foreign, lossless):
     text = data.draw(st.text(alphabet=model.alphabet.glyphs, max_size=12))
     hints, report = encode_document(model, PARAMS, text, lossless=lossless)
     want = oracle_encode(model, PARAMS, text, lossless)
-    assert (hints.payload, hints.bit_count, report.kept, report.skipped) == want
+    assert (hints.payload, report.kept, report.skipped) == want
 
     for payload in (hints.payload, foreign):
-        trace = run_trace(model, PARAMS, payload, text, lossless=lossless)
+        trace = run_trace(model, PARAMS, HintsFile(payload), text, lossless=lossless)
         oracle = oracle_steps(model, PARAMS, payload, text, lossless)
         assert [(s.guessed, s.truth, s.rewound) for s in trace.steps] == oracle
         errors = sum(rewound for _, _, rewound in oracle)
         assert trace.guesses == "".join(guessed for guessed, _, _ in oracle)
         assert trace.decoded == text
         assert (trace.errors, trace.kept) == (errors, len(text) - errors)
-        assert decode_text(model, PARAMS, payload, len(text), lossless=lossless) == (
+        assert decode_text(model, PARAMS, HintsFile(payload), len(text), lossless=lossless) == (
             oracle_decode_text(model, PARAMS, payload, len(text), lossless)
         )
 
-    session = DecoderSession(model, PARAMS, foreign, lossless=lossless)
+    session = DecoderSession(model, PARAMS, HintsFile(foreign), lossless=lossless)
     for ch in text:
         session.reveal(ch)
     with pytest.raises(UnknownCharacterError) as exc:
