@@ -12,6 +12,7 @@ import sys
 import time
 
 from rwc.harness import (
+    ACCEPTANCE_SEED,
     eta_source,
     evaluate,
     gen_bytes,
@@ -38,7 +39,7 @@ def main(argv=None):
     parser.add_argument("--corpus", help="text file to evaluate; overrides --kind")
     parser.add_argument("--kind", choices=("eta", "chain", "bytes"), default="chain")
     parser.add_argument("--chars", type=int, default=110000, help="synthetic corpus size")
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=0xDEADBEEF)
+    parser.add_argument("--seed", type=lambda s: int(s, 0), default=ACCEPTANCE_SEED)
     parser.add_argument("--order", type=int, default=2, help="context length")
     parser.add_argument("--smoothing", type=float, default=0.1, help="additive count")
     parser.add_argument("--train-frac", type=float, default=0.9)

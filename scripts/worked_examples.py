@@ -7,7 +7,6 @@ from rwc.harness import (
     eta_source,
     evaluate,
     model_from_chain,
-    model_from_iid,
     two_state_chain,
 )
 from rwc.model import predict, surprise, entropy
@@ -57,7 +56,7 @@ def main():
     params = SelectorParams.default()
     print(f"threshold alpha = {solve_alpha(1e-10):.10f}")
     print()
-    walk("memoryless three-character source", model_from_iid(eta_source()), "ETATEETTT", params)
+    walk("memoryless three-character source", model_from_chain(eta_source()), "ETATEETTT", params)
     model = model_from_chain(two_state_chain())
     print("== two-state chain, the interesting context ==")
     dist = show_distribution(model, "A")

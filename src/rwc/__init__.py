@@ -13,13 +13,11 @@ from .harness import (
     ChainSource,
     ScoreReport,
     SplitMix64,
-    ETA_PROBS,
     eta_source,
     evaluate,
     gen_bytes,
     gen_markov,
     model_from_chain,
-    model_from_iid,
     two_state_chain,
     uniform_byte_model,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "Decoder",
     "DecoderSession",
     "Distribution",
-    "ETA_PROBS",
     "EncodeReport",
     "Encoder",
     "FrequencyTable",
@@ -105,7 +102,6 @@ __all__ = [
     "gen_markov",
     "marginal_f",
     "model_from_chain",
-    "model_from_iid",
     "parse_model",
     "predict",
     "quantize",

@@ -136,10 +136,11 @@ class ChainSource:
         for state, row in self.rows.items():
             if not row:
                 raise ValueError(f"state {state!r} has an empty row")
-            if abs(sum(p for _, p, _ in row) - 1.0) > 1e-9:
+            # Written so that a NaN probability fails both checks.
+            if not abs(sum(p for _, p, _ in row) - 1.0) <= 1e-9:
                 raise ValueError(f"state {state!r} probabilities do not sum to 1")
             for _, p, nxt in row:
-                if p < 0:
+                if not p >= 0:
                     raise ValueError("negative probability")
                 if nxt not in self.rows:
                     raise ValueError(f"transition to unknown state {nxt!r}")
@@ -186,13 +187,10 @@ def gen_bytes(n: int, seed: int) -> bytes:
     return bytes(rng.next() & 0xFF for _ in range(n))
 
 
-# The running three-character example source: E and T carry almost all the
-# mass, A is the rare one that is cheaper to miss than to encode.
-ETA_PROBS = (("E", 0.49), ("T", 0.49), ("A", 0.02))
-
-
 def eta_source() -> ChainSource:
-    return ChainSource.iid(*zip(*ETA_PROBS))
+    """The running three-character example source: E and T carry almost all the
+    mass, A is the rare one that is cheaper to miss than to encode."""
+    return ChainSource.iid("ETA", (0.49, 0.49, 0.02))
 
 
 def two_state_chain() -> ChainSource:
@@ -213,41 +211,31 @@ def _row_counts(chain: ChainSource, state: str, alphabet: Alphabet, scale: int) 
         c = round(p * scale)
         if abs(c - p * scale) > 1e-9:
             raise ValueError(f"probability {p} is not a multiple of 1/{scale}")
-        out[alphabet.id_of(glyph)] = c
+        sym = alphabet.id_of(glyph)
+        out[sym] = out.get(sym, 0) + c
     return out
 
 
-def model_from_iid(source: ChainSource, scale: int = 100) -> ContextModel:
-    """Order-0 model whose single context reproduces a one-state `source` exactly.
-
-    Glyphs get ids in row order. Probabilities are stored as integer counts
-    (p times scale), so scale must make every probability an integer.
-    """
-    if len(source.rows) != 1:
-        raise ValueError("an order-0 model needs a one-state source")
-    alphabet = Alphabet(tuple(g for g, _, _ in source.rows[source.start]))
-    counts = _row_counts(source, source.start, alphabet, scale)
-    return ContextModel.from_counts(alphabet, 0, {(): counts})
-
-
 def model_from_chain(chain: ChainSource, scale: int = 100) -> ContextModel:
-    """Order-1 model matching a chain whose last emitted glyph determines its state.
+    """The exact model of a chain whose last emitted glyph determines its state.
 
-    Glyphs get ids in first-mention order over the chain's rows. Contexts:
-    after glyph g the model predicts the row of g's successor state; the
-    begin-of-stream context predicts the start state's row.
+    A one-state chain gives an order-0 model holding its row; any other chain
+    gives an order-1 model. Glyphs get ids in first-mention order over the
+    chain's rows. Contexts: after glyph g the model predicts the row of g's
+    successor state; the begin-of-stream context predicts the start state's
+    row. Probabilities are stored as integer counts (p times scale), so scale
+    must make every probability an integer.
     """
     next_state: dict[str, str] = {}
-    glyph_order: list[str] = []
-    for state, row in chain.rows.items():
+    for row in chain.rows.values():
         for glyph, _, nxt in row:
-            if glyph not in next_state:
-                next_state[glyph] = nxt
-                glyph_order.append(glyph)
-            elif next_state[glyph] != nxt:
+            if next_state.setdefault(glyph, nxt) != nxt:
                 raise ValueError(f"glyph {glyph!r} does not determine a unique state")
-    alphabet = Alphabet(tuple(glyph_order))
-    counts = {(BOS,): _row_counts(chain, chain.start, alphabet, scale)}
+    alphabet = Alphabet(tuple(next_state))
+    start_row = _row_counts(chain, chain.start, alphabet, scale)
+    if len(chain.rows) == 1:
+        return ContextModel.from_counts(alphabet, 0, {(): start_row})
+    counts = {(BOS,): start_row}
     for glyph, state in next_state.items():
         counts[(alphabet.id_of(glyph),)] = _row_counts(chain, state, alphabet, scale)
     return ContextModel.from_counts(alphabet, 1, counts)
@@ -255,4 +243,4 @@ def model_from_chain(chain: ChainSource, scale: int = 100) -> ContextModel:
 
 def uniform_byte_model() -> ContextModel:
     """Order-0 uniform model over all 256 byte values (as latin-1 glyphs)."""
-    return model_from_iid(ChainSource.iid([chr(b) for b in range(256)], [1 / 256] * 256), 256)
+    return model_from_chain(ChainSource.iid([chr(b) for b in range(256)], [1 / 256] * 256), 256)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from rwc import SelectorParams, model_from_chain, model_from_iid, eta_source, two_state_chain
+from rwc import SelectorParams, model_from_chain, eta_source, two_state_chain
 
 settings.register_profile(
     "rwc", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -17,7 +17,7 @@ def params():
 @pytest.fixture(scope="session")
 def eta_model():
     """Order-0 model of the E/T/A source (E 49%, T 49%, A 2%)."""
-    return model_from_iid(eta_source())
+    return model_from_chain(eta_source())
 
 
 @pytest.fixture(scope="session")

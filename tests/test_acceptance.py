@@ -19,7 +19,6 @@ from rwc.harness import (
     gen_bytes,
     gen_markov,
     model_from_chain,
-    model_from_iid,
     two_state_chain,
     uniform_byte_model,
 )
@@ -101,7 +100,7 @@ def test_criterion_03_surprise_and_entropy():
 
 def test_criterion_04_iid_worked_example():
     with criterion(4, "order-0 example: byte 0x67, one error, fourth guess T"):
-        model = model_from_iid(eta_source())
+        model = model_from_chain(eta_source())
         hints, report = encode_document(model, PARAMS, "ETATEETTT")
         assert hints.payload == b"\x67"
         assert hints.bit_count == 8
@@ -157,7 +156,7 @@ def test_criterion_07_marginal_identity():
 def test_criterion_08_rate_law():
     with criterion(8, "lossless coding of 100k three-character text costs ~1.1214 bits/char"):
         text = gen_markov(eta_source(), 100000, ACCEPTANCE_SEED)
-        model = model_from_iid(eta_source())
+        model = model_from_chain(eta_source())
         start = time.perf_counter()
         hints, report = encode_document(model, PARAMS, text, lossless=True)
         elapsed = time.perf_counter() - start
@@ -188,7 +187,7 @@ def _random_instance(rng):
         total = sum(counts)
         source = ChainSource.iid(glyphs, tuple(c / total for c in counts))
         sample = lambda n, seed: gen_markov(source, n, seed)
-        exact = lambda: model_from_iid(source, scale=total)
+        exact = lambda: model_from_chain(source, scale=total)
     else:
         emit_a = 2 + rng.next() % 3
         emit_b = 2 + rng.next() % 2

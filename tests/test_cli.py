@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import struct
@@ -319,6 +320,20 @@ class TestGen:
         assert main(["gen", kind, str(count), "--out", str(path)]) == 0
         assert capsysbinary.readouterr() == (b"", b"")
         assert path.read_bytes() == want
+
+    # Digests of 1,000 generated characters at the default seed, so a change
+    # to a source or to its sampling shows up here and not only in the bench.
+    GEN_SHA256 = {
+        "eta": "f5adda515e35c22c96c9edb1c8fbed0edfc4f95b632c73b61a96d3eaf3a4227b",
+        "chain": "5d007925ec18ef83748c9d419d6b87fcb2fc75caf3fc5d30bb2a7b889bf1f107",
+        "bytes": "18e933fc8369385439f32550be60424705f259fdd55fd053c66e73db23ca6f3a",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GEN_SHA256))
+    def test_default_seed_output_is_pinned(self, capsysbinary, kind):
+        assert main(["gen", kind, "1000"]) == 0
+        out, _ = capsysbinary.readouterr()
+        assert hashlib.sha256(out).hexdigest() == self.GEN_SHA256[kind]
 
 
 class TestAnalyze:

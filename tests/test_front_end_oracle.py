@@ -1,8 +1,8 @@
 """Differential tests of the front-end paths that go through the general code.
 
 `rwc analyze` counts with `train` and ranks with the selector, an IID source
-is a one-state chain that `gen_markov` samples, and `model_from_iid` shares
-the chain's count conversion. The oracles below are the earlier, separate
+is a one-state chain that `gen_markov` samples and that `model_from_chain`
+gives an order-0 model. The oracles below are the earlier, separate
 bodies: a `Counter` with a hand sort, a sampling loop of its own, and a count
 loop of its own, over the glyphs and probabilities as given. Outputs must be
 equal, and bad sources must raise `ValueError` in both.
@@ -15,12 +15,12 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rwc.cli
 from rwc.cli import main
-from rwc.harness import ChainSource, SplitMix64, gen_markov, model_from_iid
+from rwc.harness import ChainSource, SplitMix64, gen_markov, model_from_chain
 from rwc.model import Alphabet, ContextModel, Distribution, entropy, surprise
 
 # --- the oracles ------------------------------------------------------------
@@ -41,7 +41,7 @@ def oracle_cmd_analyze(args):
 def oracle_check_source(glyphs, probs):
     if len(glyphs) != len(probs) or not glyphs:
         raise ValueError("need one probability per glyph")
-    if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+    if not all(p >= 0 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-9:
         raise ValueError("probabilities must be nonnegative and sum to 1")
 
 
@@ -143,7 +143,7 @@ def test_gen_iid_matches_the_sampling_loop(source, n, seed):
 def test_model_from_iid_matches_the_count_loop(source, scale):
     glyphs, probs, total = source
     scale = total if scale is None else scale
-    assert outcome(model_from_iid, ChainSource.iid(glyphs, probs), scale) == (
+    assert outcome(model_from_chain, ChainSource.iid(glyphs, probs), scale) == (
         outcome(oracle_model_from_iid, glyphs, probs, scale)
     )
 
@@ -158,6 +158,7 @@ PROBS = st.one_of(
     st.lists(st.characters(), max_size=5, unique=True),
     st.lists(PROBS, max_size=5),
 )
+@example(["A", "B"], [float("nan"), 1.0])
 def test_bad_sources_raise_value_error_in_both(glyphs, probs):
     glyphs, probs = tuple(glyphs), tuple(probs)
     assert (outcome(ChainSource.iid, glyphs, probs) is ValueError) == (

@@ -16,12 +16,19 @@ from rwc.harness import (
     gen_bytes,
     gen_markov,
     model_from_chain,
-    model_from_iid,
     two_state_chain,
     uniform_byte_model,
 )
 from rwc.coder import FrequencyTable
-from rwc.model import Alphabet, ContextModel, context_key, predict, serialize_model, train
+from rwc.model import (
+    Alphabet,
+    ContextModel,
+    context_key,
+    parse_model,
+    predict,
+    serialize_model,
+    train,
+)
 from rwc.rewind import encode_document, run_trace
 
 PLAN_CORPUS = "the cat sat on the mat; the rat ate the hat."
@@ -190,6 +197,13 @@ class TestSourceValidation:
         with pytest.raises(ValueError):
             ChainSource(start="a", rows={"a": (("X", 0.5, "a"),)})
 
+    def test_nan_probability_is_refused(self):
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            ChainSource.iid(("A", "B"), (nan, 1.0))
+        with pytest.raises(ValueError):
+            ChainSource(start="a", rows={"a": (("X", nan, "a"), ("Y", 1.0, "a"))})
+
 
 class TestScore:
     def test_doubles_hint_bytes(self):
@@ -292,20 +306,66 @@ class TestEvaluate:
         assert trace == alone
 
 
+@st.composite
+def exact_chains(draw):
+    """A chain whose glyph determines its next state, and a scale that makes
+    every probability an integer count. Rows may list a glyph twice."""
+    scale = draw(st.integers(1, 60))
+    states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    glyphs = draw(st.lists(st.sampled_from("ETA\u00e9\U0001f600"), min_size=1, max_size=5))
+    goes_to = {g: draw(st.sampled_from(states)) for g in glyphs}
+    rows = {}
+    for state in states:
+        row = draw(st.lists(st.sampled_from(glyphs), min_size=1, max_size=min(6, scale)))
+        cuts = draw(st.permutations(range(1, scale)))[: len(row) - 1]
+        bounds = [0, *sorted(cuts), scale]
+        rows[state] = tuple(
+            (g, (hi - lo) / scale, goes_to[g]) for g, lo, hi in zip(row, bounds, bounds[1:])
+        )
+    return ChainSource(states[0], rows), scale
+
+
 class TestFixtureModels:
+    @given(exact_chains())
+    def test_chain_model_is_exact(self, case):
+        chain, scale = case
+        m = model_from_chain(chain, scale)
+        assert (m.order == 0) == (len(chain.rows) == 1)
+        assert parse_model(serialize_model(m)) == m
+
+        def row_probs(state):
+            want = [0.0] * m.alphabet.size
+            for glyph, p, _ in chain.rows[state]:
+                want[m.alphabet.id_of(glyph)] += p
+            return want
+
+        assert predict(m, []).probs == pytest.approx(row_probs(chain.start), abs=1e-12)
+        for row in chain.rows.values():
+            for glyph, _, nxt in row:
+                got = predict(m, [m.alphabet.id_of(glyph)]).probs
+                assert got == pytest.approx(row_probs(nxt), abs=1e-12)
+
+    def test_chain_model_sums_a_glyph_listed_twice(self):
+        source = ChainSource(
+            start="s", rows={"s": (("A", 0.25, "s"), ("B", 0.5, "s"), ("A", 0.25, "s"))}
+        )
+        m = model_from_chain(source)
+        assert m.alphabet.glyphs == ("A", "B")
+        assert predict(m, []).probs[m.alphabet.id_of("A")] == 0.5
+
     def test_iid_model_reproduces_probabilities(self):
-        m = model_from_iid(eta_source())
+        m = model_from_chain(eta_source())
         d = predict(m, [])
         assert d.probs[m.alphabet.id_of("E")] == 0.49
         assert d.probs[m.alphabet.id_of("A")] == 0.02
 
     def test_iid_model_rejects_non_multiples(self):
         with pytest.raises(ValueError):
-            model_from_iid(ChainSource.iid(("A", "B"), (1 / 3, 2 / 3)), scale=100)
+            model_from_chain(ChainSource.iid(("A", "B"), (1 / 3, 2 / 3)), scale=100)
 
-    def test_iid_model_refuses_a_source_with_more_than_one_state(self):
-        with pytest.raises(ValueError, match="one-state source"):
-            model_from_iid(two_state_chain())
+    def test_chain_model_order_is_zero_for_one_state_only(self):
+        assert model_from_chain(eta_source()).order == 0
+        assert model_from_chain(two_state_chain()).order == 1
 
     def test_chain_model_glyphs_in_first_mention_order(self, chain_model):
         assert chain_model.alphabet.glyphs == ("E", "T", "A", "S", "H")

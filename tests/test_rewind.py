@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rwc.harness import (
-    ChainSource, SplitMix64, gen_markov, model_from_chain, model_from_iid, two_state_chain,
+    ChainSource, SplitMix64, gen_markov, model_from_chain, two_state_chain,
 )
 from rwc.model import UnknownCharacterError, predict, train
 from rwc.rewind import (
@@ -309,7 +309,7 @@ class TestPipelineInvariants:
     def test_errors_equal_positions_outside_kept_sets(self, chain_model, params):
         rng = SplitMix64(99)
         source = ChainSource.iid(("E", "T", "A"), (0.49, 0.49, 0.02))
-        model = model_from_iid(source)
+        model = model_from_chain(source)
         for trial in range(20):
             n = rng.next() % 120
             text = gen_markov(source, n, rng.next())
@@ -325,7 +325,7 @@ class TestPipelineInvariants:
         # hint bits stay within 2 of the sum of per-character surprises
         rng = SplitMix64(4242)
         source = ChainSource.iid(("E", "T", "A", "S"), (0.40, 0.30, 0.20, 0.10))
-        model = model_from_iid(source)
+        model = model_from_chain(source)
         for trial in range(10):
             text = gen_markov(source, 500, rng.next())
             hints, _ = encode_document(model, params, text)

@@ -27,9 +27,11 @@ def test_worked_examples_pin_both_payloads():
 
 
 def test_corpus_eval_prints_the_score_summary():
-    done = run_script("corpus_eval.py", "--kind", "chain", "--chars", "20000")
-    assert done.returncode == 0, done.stderr
-    assert any(line.startswith("L=") and " score=" in line for line in done.stdout.splitlines())
+    for kind in ("chain", "eta"):
+        done = run_script("corpus_eval.py", "--kind", kind, "--chars", "20000")
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert any(line.startswith("L=") and " score=" in line for line in lines)
 
 
 MISSING = object()  # stands for a path that does not exist
