@@ -11,7 +11,7 @@ from rwc.harness import (
 )
 from rwc.model import predict, surprise, entropy
 from rwc.rewind import encode_document, render_trace, run_trace
-from rwc.selector import SelectorParams, select_kept, solve_alpha, subset_cost
+from rwc.selector import SelectorParams, select_kept, subset_cost
 
 
 def show_distribution(model, history_text):
@@ -54,13 +54,13 @@ def walk(title, model, text, params):
 
 def main():
     params = SelectorParams.default()
-    print(f"threshold alpha = {solve_alpha(1e-10):.10f}")
+    print(f"threshold alpha = {params.alpha:.10f}")
     print()
     walk("memoryless three-character source", model_from_chain(eta_source()), "ETATEETTT", params)
     model = model_from_chain(two_state_chain())
     print("== two-state chain, the interesting context ==")
     dist = show_distribution(model, "A")
-    show_kept(model, dist, SelectorParams.default())
+    show_kept(model, dist, params)
     print()
     walk("two-state chain source", model, "ETAHTETTT", params)
 

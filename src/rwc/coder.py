@@ -10,12 +10,13 @@ the guess-past-the-hints behavior of the stream decoder work.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heapify, heapreplace
 from itertools import accumulate, repeat
-from operator import add, lt
+from operator import add, lt, sub
 from typing import Sequence
 
 PRECISION = 32
@@ -31,24 +32,28 @@ TOTAL = 1 << TOTAL_BITS
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Integer frequencies summing to TOTAL, with cumulative sums precomputed."""
+    """Integer frequencies summing to TOTAL, held as their cumulative counts:
+    frequency i is cum[i + 1] - cum[i]."""
 
-    freqs: tuple[int, ...]
     cum: tuple[int, ...]
+
+    def __post_init__(self):
+        cum = self.cum
+        if len(cum) < 2:
+            raise ValueError("empty frequency table")
+        if cum[0] != 0:
+            raise ValueError("cumulative counts must start at 0")
+        if min(map(sub, cum[1:], cum)) < 1:
+            raise ValueError("every frequency must be at least 1")
+        if cum[-1] != TOTAL:
+            raise ValueError(f"frequencies must sum to {TOTAL}, got {cum[-1]}")
 
     @classmethod
     def from_freqs(cls, freqs: Sequence[int]) -> "FrequencyTable":
-        freqs = tuple(freqs)
-        if not freqs:
-            raise ValueError("empty frequency table")
-        if any(map(lt, freqs, repeat(1))):
-            raise ValueError("every frequency must be at least 1")
-        if sum(freqs) != TOTAL:
-            raise ValueError(f"frequencies must sum to {TOTAL}, got {sum(freqs)}")
-        return cls(freqs=freqs, cum=tuple(accumulate(freqs, initial=0)))
+        return cls(tuple(accumulate(freqs, initial=0)))
 
     def __len__(self) -> int:
-        return len(self.freqs)
+        return len(self.cum) - 1
 
 
 def quantize(weights: Sequence[float]) -> tuple[int, ...]:
@@ -65,8 +70,8 @@ def quantize(weights: Sequence[float]) -> tuple[int, ...]:
     if any(map(lt, weights, repeat(0))):
         raise ValueError("negative weight")
     mass = float(reduce(add, weights, 0))
-    if mass <= 0.0:
-        raise ValueError("weights sum to zero")
+    if not 0.0 < mass < math.inf:  # NaN fails too
+        raise ValueError(f"weights sum to {mass!r}, not to a positive finite number")
     if len(weights) > TOTAL:
         raise ValueError("more weights than frequency units")
     raw = [w / mass * TOTAL for w in weights]

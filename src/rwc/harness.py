@@ -155,7 +155,7 @@ class ChainSource:
 
 def _pick(cum: Sequence[float], u: float) -> int:
     # `uniform` can return exactly 1.0 (cum[-1]), which bisects past the last
-    # row entry; the clamp maps it to that entry.
+    # entry that `cum` covers; the clamp maps it to that entry.
     i = bisect_right(cum, u) - 1
     return min(i, len(cum) - 2)
 
@@ -167,7 +167,9 @@ def gen_markov(chain: ChainSource, n: int, seed: int) -> str:
     rng = SplitMix64(seed)
     cums: dict[str, list[float]] = {}
     for state, row in chain.rows.items():
-        cum = list(accumulate((p for _, p, _ in row), initial=0.0))
+        # End at the last entry of positive probability: `_pick` clamps to it.
+        last = max(i for i, (_, p, _) in enumerate(row) if p > 0)
+        cum = list(accumulate((p for _, p, _ in row[: last + 1]), initial=0.0))
         cum[-1] = 1.0
         cums[state] = cum
     out = []
@@ -208,8 +210,10 @@ def _row_counts(chain: ChainSource, state: str, alphabet: Alphabet, scale: int) 
     """The probabilities of a chain state's row as integer counts, p times scale."""
     out = {}
     for glyph, p, _ in chain.rows[state]:
+        if p == 0:  # no count, as a trained table has none for an unseen glyph
+            continue
         c = round(p * scale)
-        if abs(c - p * scale) > 1e-9:
+        if c < 1 or abs(c - p * scale) > 1e-9:
             raise ValueError(f"probability {p} is not a multiple of 1/{scale}")
         sym = alphabet.id_of(glyph)
         out[sym] = out.get(sym, 0) + c
@@ -234,11 +238,11 @@ def model_from_chain(chain: ChainSource, scale: int = 100) -> ContextModel:
     alphabet = Alphabet(tuple(next_state))
     start_row = _row_counts(chain, chain.start, alphabet, scale)
     if len(chain.rows) == 1:
-        return ContextModel.from_counts(alphabet, 0, {(): start_row})
+        return ContextModel(alphabet, 0, 0.0, {(): start_row})
     counts = {(BOS,): start_row}
     for glyph, state in next_state.items():
         counts[(alphabet.id_of(glyph),)] = _row_counts(chain, state, alphabet, scale)
-    return ContextModel.from_counts(alphabet, 1, counts)
+    return ContextModel(alphabet, 1, 0.0, counts)
 
 
 def uniform_byte_model() -> ContextModel:

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import starmap
-from typing import Mapping, Sequence
+from typing import Sequence
 
 BOS = 0  # reserved begin-of-stream id; pads contexts, never occurs in text
 
@@ -115,10 +115,10 @@ def build_alphabet(corpus: str) -> Alphabet:
 class Distribution:
     """Per-symbol probabilities, indexed by symbol id (entry 0 is the sentinel).
 
-    `predict` also records `_head`: the ids above the smoothing floor, ranked
-    by probability (ties ascending). Every other positive id has the floor
+    `predict` also records `_head`: the ids above the smoothing floor, in the
+    matched row's order, unranked. Every other positive id has the floor
     probability, so the selector ranks only the head. A distribution built by
-    hand has no head and is ranked in full.
+    hand has no head, and the selector ranks all of its positive ids.
     """
 
     probs: tuple[float, ...]
@@ -159,11 +159,12 @@ Table = dict[tuple[int, ...], Counts]
 class ContextModel:
     """Trained order-k model: the order-k count table plus smoothing.
 
-    `counts` maps each length-k context to {symbol id: count}. Constructing a
-    model validates it and derives `tables`, where tables[j] is the order-j
-    table (tables[k] is `counts` itself) and each lower order is summed from
-    the one above. Two models are equal when their alphabet, order,
-    smoothing and `counts` are; `tables` follows from those.
+    `counts` maps each length-k context to {symbol id: count}; the model keeps
+    the table it is given, not a copy. Constructing a model validates it and
+    derives `tables`, where tables[j] is the order-j table (tables[k] is
+    `counts` itself) and each lower order is summed from the one above. Two
+    models are equal when their alphabet, order, smoothing and `counts` are;
+    `tables` follows from those.
     """
 
     alphabet: Alphabet
@@ -198,22 +199,6 @@ class ContextModel:
                 bucket = lower.setdefault(ctx[1:], {})
                 for sym, c in row.items():
                     bucket[sym] = bucket.get(sym, 0) + c
-
-    @classmethod
-    def from_counts(
-        cls,
-        alphabet: Alphabet,
-        order: int,
-        counts: Mapping[Sequence[int], Mapping[int, int]],
-        smoothing: float = 0.0,
-    ) -> "ContextModel":
-        """Build a model from a copy of explicit order-k counts.
-
-        `counts` maps length-k context tuples to {symbol id: count}. Useful for
-        constructing models whose predictions are exact rationals by design.
-        """
-        table = {tuple(ctx): dict(row) for ctx, row in counts.items()}
-        return cls(alphabet, order, smoothing, table)
 
 
 def context_key(order: int, history: Sequence[int]) -> tuple[int, ...]:
@@ -263,7 +248,7 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
     order-0 row is never empty, so some suffix always matches. The sentinel
     always gets probability 0. Only the matched row's ids can rise above the
     floor that every unseen id gets (beta/total, or 0 without smoothing), so
-    only they are ranked into the head.
+    only they go into the head, which the selector ranks.
     """
     n = model.alphabet.size
     key = context_key(model.order, history)
@@ -278,10 +263,8 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
     probs[BOS] = 0.0
     for sym, c in counts.items():
         probs[sym] = (c + beta) / total
-    head = sorted([sym for sym in counts if probs[sym] > floor])
-    head.sort(key=probs.__getitem__, reverse=True)  # stable: ties stay ascending
     dist = Distribution(probs)
-    object.__setattr__(dist, "_head", tuple(head))
+    object.__setattr__(dist, "_head", tuple([sym for sym in counts if probs[sym] > floor]))
     return dist
 
 

@@ -99,15 +99,16 @@ class KeptSet:
 def _ranked(dist: Distribution) -> Iterator[int]:
     """Positive-probability ids, highest first, tied ids ascending.
 
-    Yields the head, then lazily every other positive id in ascending order.
-    For a distribution from `predict` those all share the floor probability,
-    which is the order a stable sort of every id gives them. A hand-built
-    one's head is all of its positive ids, sorted in full, so its tail is empty.
+    Ranks the head from `predict`, or every positive id of a hand-built
+    distribution, then yields lazily, in ascending order, the positive ids
+    outside the head. For a distribution from `predict` those all share the
+    floor probability, which is the order a stable sort of every id gives them.
     """
     probs, head = dist.probs, dist._head
     if head is None:
-        head = [i for i, p in enumerate(probs) if p > 0.0]
-        head.sort(key=probs.__getitem__, reverse=True)
+        head = (i for i, p in enumerate(probs) if p > 0.0)
+    head = sorted(head)
+    head.sort(key=probs.__getitem__, reverse=True)  # stable: tied ids stay ascending
     seen = set(head)
     return chain(head, (i for i, p in enumerate(probs) if p > 0.0 and i not in seen))
 

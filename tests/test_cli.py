@@ -75,7 +75,7 @@ HOSTILE_MODELS = {
 
 
 def test_model_file_helper_writes_the_serialized_format():
-    m = ContextModel.from_counts(Alphabet(("E", "T")), 1, {(0,): {1: 3}, (1,): {1: 1, 2: 2}}, 0.1)
+    m = ContextModel(Alphabet(("E", "T")), 1, 0.1, {(0,): {1: 3}, (1,): {1: 1, 2: 2}})
     table = [((0,), [(1, 3)]), ((1,), [(1, 1), (2, 2)])]
     assert model_file(1, 0.1, [69, 84], table) == serialize_model(m)
 

@@ -67,6 +67,16 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize((1.0,) * (TOTAL + 1))
 
+    @pytest.mark.parametrize(
+        "weights",
+        [(1e308, 1e308), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan)],
+        ids=["overflow", "inf", "nan first", "nan last"],
+    )
+    def test_mass_that_is_not_finite_is_refused(self, weights):
+        # 1e308 + 1e308 overflows; the shares were then 0 and came out (2, 2).
+        with pytest.raises(ValueError, match="weights sum to"):
+            quantize(weights)
+
     @given(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=300))
     def test_sums_to_total_with_floor_one(self, weights):
         freqs = quantize(weights)
@@ -94,6 +104,22 @@ class TestFrequencyTable:
             FrequencyTable.from_freqs((65536, 0))
         with pytest.raises(ValueError):
             FrequencyTable.from_freqs((1, 1))
+        with pytest.raises(ValueError, match="at least 1"):
+            FrequencyTable.from_freqs((0.5, 65535.5))
+
+    @pytest.mark.parametrize(
+        "cum, message",
+        [
+            pytest.param((0, 70000), "sum to 65536, got 70000", id="sum past TOTAL"),
+            pytest.param((0, 0, 65536), "at least 1", id="zero frequency"),
+            pytest.param((0,), "empty", id="no frequency"),
+            pytest.param((), "empty", id="no counts"),
+            pytest.param((1, 65536), "start at 0", id="offset start"),
+        ],
+    )
+    def test_constructor_refuses_an_inconsistent_table(self, cum, message):
+        with pytest.raises(ValueError, match=message):
+            FrequencyTable(cum)
 
 
 class TestEncoder:
@@ -239,7 +265,7 @@ class TestRoundTrip:
             ideal = 0.0
             for t, s in zip(plan, syms):
                 enc.encode(t, s)
-                ideal += math.log2(TOTAL / t.freqs[s])
+                ideal += math.log2(TOTAL / (t.cum[s + 1] - t.cum[s]))
             _, bit_count = finish(enc)
             assert bit_count <= ideal + 2.0
 

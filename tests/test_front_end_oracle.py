@@ -63,9 +63,7 @@ def oracle_model_from_iid(glyphs, probs, scale=100):
             raise ValueError(f"probability {p} is not a multiple of 1/{scale}")
         counts[g] = c
     alphabet = Alphabet(glyphs)
-    return ContextModel.from_counts(
-        alphabet, 0, {(): {alphabet.id_of(g): c for g, c in counts.items()}}
-    )
+    return ContextModel(alphabet, 0, 0.0, {(): {alphabet.id_of(g): c for g, c in counts.items()}})
 
 
 def outcome(fn, *args):

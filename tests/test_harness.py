@@ -139,6 +139,12 @@ class TestGenerators:
     def test_gen_iid_is_reproducible(self):
         assert gen_markov(eta_source(), 500, 42) == gen_markov(eta_source(), 500, 42)
 
+    def test_a_glyph_of_probability_zero_is_never_drawn(self):
+        # This seed's first draw is exactly 1.0 (see TestSplitMix64), which
+        # was clamped to the row's last entry even though B has probability 0.
+        assert gen_markov(ChainSource.iid("AB", (1.0, 0.0)), 3, 0x31628AF67B2131AB) == "AAA"
+        assert gen_markov(ChainSource.iid("ABC", (0.5, 0.5, 0.0)), 3, 0x31628AF67B2131AB)[0] == "B"
+
     def test_gen_markov_empty(self):
         assert gen_markov(two_state_chain(), 0, 1) == ""
 
@@ -309,15 +315,16 @@ class TestEvaluate:
 @st.composite
 def exact_chains(draw):
     """A chain whose glyph determines its next state, and a scale that makes
-    every probability an integer count. Rows may list a glyph twice."""
+    every probability an integer count. Rows may list a glyph twice and may
+    give a glyph probability 0."""
     scale = draw(st.integers(1, 60))
     states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
     glyphs = draw(st.lists(st.sampled_from("ETA\u00e9\U0001f600"), min_size=1, max_size=5))
     goes_to = {g: draw(st.sampled_from(states)) for g in glyphs}
     rows = {}
     for state in states:
-        row = draw(st.lists(st.sampled_from(glyphs), min_size=1, max_size=min(6, scale)))
-        cuts = draw(st.permutations(range(1, scale)))[: len(row) - 1]
+        row = draw(st.lists(st.sampled_from(glyphs), min_size=1, max_size=6))
+        cuts = draw(st.lists(st.integers(0, scale), min_size=len(row) - 1, max_size=len(row) - 1))
         bounds = [0, *sorted(cuts), scale]
         rows[state] = tuple(
             (g, (hi - lo) / scale, goes_to[g]) for g, lo, hi in zip(row, bounds, bounds[1:])
@@ -352,6 +359,16 @@ class TestFixtureModels:
         m = model_from_chain(source)
         assert m.alphabet.glyphs == ("A", "B")
         assert predict(m, []).probs[m.alphabet.id_of("A")] == 0.5
+
+    def test_chain_model_gives_a_glyph_of_probability_zero_no_count(self):
+        m = model_from_chain(ChainSource.iid("AB", (1.0, 0.0)))
+        assert m.alphabet.glyphs == ("A", "B")
+        assert m.counts == {(): {1: 100}}
+        assert predict(m, []).probs == (0.0, 1.0, 0.0)
+
+    def test_chain_model_refuses_a_probability_that_rounds_to_no_count(self):
+        with pytest.raises(ValueError, match="not a multiple of 1/100"):
+            model_from_chain(ChainSource.iid("AB", (1 - 1e-12, 1e-12)))
 
     def test_iid_model_reproduces_probabilities(self):
         m = model_from_chain(eta_source())
@@ -394,4 +411,4 @@ class TestFixtureModels:
     def test_uniform_byte_model_matches_its_hand_built_counts(self):
         alphabet = Alphabet(tuple(chr(b) for b in range(256)))
         counts = {(): {sym: 1 for sym in range(1, 257)}}
-        assert uniform_byte_model() == ContextModel.from_counts(alphabet, 0, counts)
+        assert uniform_byte_model() == ContextModel(alphabet, 0, 0.0, counts)

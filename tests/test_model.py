@@ -359,32 +359,33 @@ class TestModelFileFormat:
 
 
 class TestFromCounts:
+    """A model built from an explicit order-k count table."""
+
     def test_lower_orders_are_marginalized(self):
         a = Alphabet(("X", "Y"))
-        m = ContextModel.from_counts(a, 1, {(1,): {1: 3, 2: 1}, (2,): {1: 2}})
+        m = ContextModel(a, 1, 0.0, {(1,): {1: 3, 2: 1}, (2,): {1: 2}})
         assert m.tables[0][()] == {1: 5, 2: 1}
 
-    def test_input_is_copied(self):
+    def test_keeps_the_table_it_is_given(self):
         counts = {(): {1: 2}}
-        m = ContextModel.from_counts(Alphabet(("X", "Y")), 0, counts)
-        counts[()][2] = 5
-        counts[(1,)] = {1: 1}
-        assert m.counts == {(): {1: 2}}
+        m = ContextModel(Alphabet(("X", "Y")), 0, 0.0, counts)
+        assert m.counts is counts
+        assert m.tables[0] is counts
 
     def test_context_length_checked(self):
         a = Alphabet(("X",))
         with pytest.raises(ValueError):
-            ContextModel.from_counts(a, 1, {(1, 1): {1: 1}})
+            ContextModel(a, 1, 0.0, {(1, 1): {1: 1}})
 
     def test_symbol_range_checked(self):
         a = Alphabet(("X",))
         with pytest.raises(ValueError):
-            ContextModel.from_counts(a, 0, {(): {9: 1}})
+            ContextModel(a, 0, 0.0, {(): {9: 1}})
 
 
 class TestValidation:
     """The constructor is the one place a count table is checked, whether it
-    came from `train`, `from_counts` or a model file."""
+    came from `train`, a chain source or a model file."""
 
     @pytest.mark.parametrize(
         "order, counts",
@@ -409,17 +410,15 @@ class TestValidation:
         a = Alphabet(("X", "Y"))
         with pytest.raises(ValueError):
             ContextModel(a, order, 0.0, counts)
-        with pytest.raises(ValueError):
-            ContextModel.from_counts(a, order, counts)
 
     @pytest.mark.parametrize("beta", [-0.5, math.nan, math.inf, 1e308])
     def test_smoothing_must_be_nonnegative_with_finite_mass(self, beta):
         # 1e308 is finite, but its mass over the 3 symbols overflows.
         with pytest.raises(ValueError, match="smoothing"):
-            ContextModel.from_counts(Alphabet(("X", "Y", "Z")), 0, {(): {1: 1}}, beta)
+            ContextModel(Alphabet(("X", "Y", "Z")), 0, beta, {(): {1: 1}})
 
     def test_largest_finite_smoothing_mass_accepted(self):
-        m = ContextModel.from_counts(Alphabet(("X", "Y")), 0, {(): {1: 1}}, 5e307)
+        m = ContextModel(Alphabet(("X", "Y")), 0, 5e307, {(): {1: 1}})
         predict(m, []).validate()
 
     def test_negative_order_rejected(self):
@@ -433,7 +432,7 @@ class TestValidation:
 
     def test_max_order_and_largest_count_roundtrip(self):
         counts = {(1,) * MAX_ORDER: {1: 2**64 - 1}}
-        m = ContextModel.from_counts(Alphabet(("X",)), MAX_ORDER, counts)
+        m = ContextModel(Alphabet(("X",)), MAX_ORDER, 0.0, counts)
         assert parse_model(serialize_model(m)) == m
 
 
@@ -460,6 +459,6 @@ class TestOneCountingPath:
     def test_derived_tables_match_per_order_counting(self, corpus, k, beta):
         m = train(corpus, k, beta)
         assert m.tables == per_order_tables(corpus, k, m.alphabet)
-        rebuilt = ContextModel.from_counts(m.alphabet, m.order, m.counts, m.smoothing)
+        rebuilt = ContextModel(m.alphabet, m.order, m.smoothing, m.counts)
         assert rebuilt == m
         assert rebuilt.tables == m.tables

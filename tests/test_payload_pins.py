@@ -83,9 +83,7 @@ def test_drift_case_table_is_pinned():
 def test_drift_case_plans_ignore_a_compensated_sum():
     dist = drift_dist()
     assert under_compensated_sum(plans, dist) == plans(dist)
-    model = ContextModel.from_counts(
-        Alphabet("abcd"), 0, {(): dict(enumerate(DRIFT_COUNTS, 1))}, 0.1
-    )
+    model = ContextModel(Alphabet("abcd"), 0, 0.1, {(): dict(enumerate(DRIFT_COUNTS, 1))})
     assert under_compensated_sum(plans, predict(model, ())) == plans(dist)
 
 
@@ -96,7 +94,7 @@ def test_drift_case_plans_ignore_a_compensated_sum():
 )
 def test_predicted_plans_ignore_a_compensated_sum(counts, unseen, smoothing):
     alphabet = Alphabet(tuple(chr(0x61 + i) for i in range(len(counts) + unseen)))
-    model = ContextModel.from_counts(alphabet, 0, {(): dict(enumerate(counts, 1))}, smoothing)
+    model = ContextModel(alphabet, 0, smoothing, {(): dict(enumerate(counts, 1))})
     dist = predict(model, ())
     assert under_compensated_sum(plans, dist) == plans(dist)
 

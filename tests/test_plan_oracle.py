@@ -8,10 +8,10 @@ The library versions must return the same values to the bit, and raise the
 same exception type wherever an oracle raises. Float masses are summed left
 to right, which is what `sum()` did before CPython 3.12 made it compensated.
 
-`predict` also hands the selector a ranked head of the seen ids, and the
-selector walks it before the ids at the floor. A hand-built `Distribution`
-has no head, so the selector sorts it in full; that dense path is the oracle
-for the head path.
+`predict` also hands the selector an unranked head of the seen ids above the
+floor, and the selector ranks it and walks it before the ids at the floor. A
+hand-built `Distribution` has no head, so the selector ranks all of its
+positive ids; that dense path is the oracle for the head path.
 """
 
 import math
@@ -104,8 +104,8 @@ def oracle_quantize(weights):
     if any(w < 0 for w in weights):
         raise ValueError("negative weight")
     mass = float(reduce(add, weights, 0))
-    if mass <= 0.0:
-        raise ValueError("weights sum to zero")
+    if not 0.0 < mass < math.inf:
+        raise ValueError("weights do not sum to a positive finite number")
     if len(weights) > TOTAL:
         raise ValueError("more weights than frequency units")
     raw = [w / mass * TOTAL for w in weights]
@@ -135,7 +135,7 @@ def oracle_from_freqs(freqs):
     cum = [0]
     for f in freqs:
         cum.append(cum[-1] + f)
-    return FrequencyTable(freqs=freqs, cum=tuple(cum))
+    return FrequencyTable(tuple(cum))
 
 
 # --- comparison -------------------------------------------------------------
@@ -152,7 +152,7 @@ def describe(value):
     if isinstance(value, KeptSet):
         return ("kept", value.members, bits(value.renorm), float.hex(value.mass))
     if isinstance(value, FrequencyTable):
-        return ("table", value.freqs, value.cum)
+        return ("table", value.cum)
     if isinstance(value, tuple) and not all(type(v) is int for v in value):
         return tuple(map(describe, value))
     return value
@@ -279,7 +279,7 @@ def test_head_ranks_seen_ids_by_probability_then_id():
     a = Alphabet(tuple("ABCDE"))
     m = ContextModel(a, 0, 0.5, {(): {5: 2, 3: 7, 1: 2}})
     dist = predict(m, [])
-    assert dist._head == (3, 1, 5)
+    assert sorted(dist._head) == [1, 3, 5]
     assert full_support(dist).members == (3, 1, 5, 2, 4)
     assert_head_ranks_as_dense(m, [])
 
@@ -332,6 +332,7 @@ def test_predicted_distributions_select_as_the_oracle_at_any_alpha(model, data, 
 @example([0.3, 0.3, 0.3, 0.1])
 @example([])
 @example([-0.0, 1.0])
+@example([1e308, 1e308])
 def test_quantize_matches(weights):
     assert outcome(quantize, weights) == outcome(oracle_quantize, weights)
 
