@@ -103,31 +103,43 @@ class Encoder:
         self.pending = 0
         self._bits = bytearray()  # ASCII "0"/"1", so finish() can parse it in one int()
 
-    def _emit(self, bit: bytes, opposite: bytes) -> None:
-        self._bits += bit + opposite * self.pending
-        self.pending = 0
-
     def encode(self, table: FrequencyTable, index: int) -> None:
         if not 0 <= index < len(table):
             raise ValueError("symbol not kept")
-        rng = self.high - self.low + 1
-        self.high = self.low + (rng * table.cum[index + 1]) // TOTAL - 1
-        self.low = self.low + (rng * table.cum[index]) // TOTAL
+        low, pending, bits = self.low, self.pending, self._bits
+        rng = self.high - low + 1
+        high = low + (rng * table.cum[index + 1]) // TOTAL - 1
+        low += (rng * table.cum[index]) // TOTAL
+        if low ^ high < QUARTER:
+            # the top s = PRECISION - t >= 2 bits of low and high agree: shift
+            # them out in one step, any pending underflow bits after the first
+            t = (low ^ high).bit_length()
+            s = PRECISION - t
+            run = bin(low >> t | 1 << s)[3:]
+            if pending:
+                run = run[0] + "10"[low >> (PRECISION - 1)] * pending + run[1:]
+                pending = 0
+            bits += run.encode()
+            low = low << s & MASK
+            high = (high << s | MASK >> t) & MASK
         while True:
-            if self.high < HALF:
-                self._emit(b"0", b"1")
-            elif self.low >= HALF:
-                self._emit(b"1", b"0")
-                self.low -= HALF
-                self.high -= HALF
-            elif self.low >= QUARTER and self.high < THREE_QUARTERS:
-                self.pending += 1
-                self.low -= QUARTER
-                self.high -= QUARTER
+            if high < HALF:
+                bits += b"0" + b"1" * pending
+                pending = 0
+            elif low >= HALF:
+                bits += b"1" + b"0" * pending
+                pending = 0
+                low -= HALF
+                high -= HALF
+            elif low >= QUARTER and high < THREE_QUARTERS:
+                pending += 1
+                low -= QUARTER
+                high -= QUARTER
             else:
                 break
-            self.low <<= 1
-            self.high = (self.high << 1) | 1
+            low <<= 1
+            high = (high << 1) | 1
+        self.low, self.high, self.pending = low, high, pending
 
     def finish(self) -> bytes:
         """Close the stream and return the payload.
@@ -139,7 +151,8 @@ class Encoder:
         stream ends on the payload's last 1 bit and only byte padding follows.
         """
         if self.low != 0 or self.pending:
-            self._emit(b"1", b"0")
+            self._bits += b"1" + b"0" * self.pending
+            self.pending = 0
         bits = self._bits.rstrip(b"0")
         n = len(bits)
         # base-2 int() is exempt from CPython's limit on decimal digits
@@ -171,27 +184,36 @@ class Decoder:
         self.low, self.high, self.code, self.bits_read = state
 
     def decode(self, table: FrequencyTable) -> int:
-        rng = self.high - self.low + 1
-        value = ((self.code - self.low + 1) * TOTAL - 1) // rng
+        low, code, i = self.low, self.code, self.bits_read
+        rng = self.high - low + 1
+        value = ((code - low + 1) * TOTAL - 1) // rng
         index = bisect_right(table.cum, value) - 1
-        self.high = self.low + (rng * table.cum[index + 1]) // TOTAL - 1
-        self.low = self.low + (rng * table.cum[index]) // TOTAL
+        high = low + (rng * table.cum[index + 1]) // TOTAL - 1
+        low += (rng * table.cum[index]) // TOTAL
+        if low ^ high < QUARTER:
+            # code shares the s >= 2 settled top bits; s new ones replace them
+            t = (low ^ high).bit_length()
+            s = PRECISION - t
+            code = (code << s & MASK) | int(self._stream[i : i + s].ljust(s, "0"), 2)
+            i += s
+            low = low << s & MASK
+            high = (high << s | MASK >> t) & MASK
         while True:
-            if self.high < HALF:
+            if high < HALF:
                 pass
-            elif self.low >= HALF:
-                self.low -= HALF
-                self.high -= HALF
-                self.code -= HALF
-            elif self.low >= QUARTER and self.high < THREE_QUARTERS:
-                self.low -= QUARTER
-                self.high -= QUARTER
-                self.code -= QUARTER
+            elif low >= HALF:
+                low -= HALF
+                high -= HALF
+                code -= HALF
+            elif low >= QUARTER and high < THREE_QUARTERS:
+                low -= QUARTER
+                high -= QUARTER
+                code -= QUARTER
             else:
                 break
-            self.low <<= 1
-            self.high = (self.high << 1) | 1
-            i = self.bits_read
-            self.bits_read = i + 1
-            self.code = (self.code << 1) | (self._stream[i : i + 1] == "1")
+            low <<= 1
+            high = (high << 1) | 1
+            code = (code << 1) | (self._stream[i : i + 1] == "1")
+            i += 1
+        self.low, self.high, self.code, self.bits_read = low, high, code, i
         return index

@@ -394,9 +394,46 @@ def decode_both(payload, plan, rng):
         saved.append(new.checkpoint())
 
 
+def encode_in_step(pairs):
+    """Encode `pairs` with the coder and its oracle, checking their states
+    after every call; returns the oracle's bit count after each call and
+    the payload."""
+    new, old = Encoder(), OracleEncoder()
+    counts = []
+    for table, index in pairs:
+        new.encode(table, index)
+        old.encode(table, index)
+        assert (new.low, new.high, new.pending) == (old.low, old.high, old.pending)
+        counts.append(len(old._bits))
+    payload, bit_count = finish(new)
+    assert (payload, bit_count) == old.finish()
+    return counts, payload
+
+
+def decode_in_step(payload, plan):
+    """Decode `payload` under `plan` with the coder and its oracle, checking
+    results and checkpoints after every call; returns bits_read before each
+    call and after the last."""
+    new, old = Decoder(payload), OracleDecoder(payload)
+    positions = [new.bits_read]
+    for table in plan:
+        assert new.decode(table) == old.decode(table)
+        assert new.checkpoint() == old.checkpoint()
+        positions.append(new.bits_read)
+    return positions
+
+
+SKEWED = FrequencyTable.from_freqs((65535, 1))
+MIDDLE = FrequencyTable.from_freqs((32767, 2, 32767))
+LOW_BYTE = FrequencyTable.from_freqs((256, 65280))
+
 TABLES = st.lists(
-    st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=24).map(
-        lambda w: FrequencyTable.from_freqs(quantize(w))
+    st.one_of(
+        st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=24).map(
+            lambda w: FrequencyTable.from_freqs(quantize(w))
+        ),
+        # symbols of about 8 and 16 bits, so runs of s >= 8 settled bits occur
+        st.just(FrequencyTable.from_freqs((65279, 256, 1))),
     ),
     min_size=1,
     max_size=4,
@@ -415,13 +452,7 @@ class TestAgainstTheBitwiseCoder:
     def test_same_states_payloads_and_decodes(self, tables, raw, kind, garbage, seed):
         plan = [tables[t % len(tables)] for t, _ in raw]
         syms = [s % len(table) for table, (_, s) in zip(plan, raw)]
-        new, old = Encoder(), OracleEncoder()
-        for table, s in zip(plan, syms):
-            new.encode(table, s)
-            old.encode(table, s)
-            assert (new.low, new.high, new.pending) == (old.low, old.high, old.pending)
-        payload, bit_count = finish(new)
-        assert (payload, bit_count) == old.finish()
+        _, payload = encode_in_step(zip(plan, syms))
         rng = SplitMix64(seed)
         payload = {
             "real": payload,
@@ -437,13 +468,46 @@ class TestAgainstTheBitwiseCoder:
         table = FrequencyTable.from_freqs((256,) * 256)
         rng = SplitMix64(8)
         syms = [rng.next() % 256 for _ in range(12_000)]
-        new, old = Encoder(), OracleEncoder()
-        for s in syms:
-            new.encode(table, s)
-            old.encode(table, s)
-        payload, bit_count = finish(new)
-        assert bit_count > 80_000
-        assert (payload, bit_count) == old.finish()
+        _, payload = encode_in_step((table, s) for s in syms)
+        assert HintsFile(payload).bit_count > 80_000
         dec = Decoder(payload)
         assert [dec.decode(table) for _ in syms] == syms
         decode_both(payload, [table] * 2_000, rng)
+
+    def test_longest_settled_run(self):
+        # A frequency-1 symbol leaves a width of ceil(rng / TOTAL) >= 2**14 + 1,
+        # so at most 17 bits settle at once. HALVES' upper half first narrows
+        # the range to 2**31 - 2**15 with low at 0x7FFF8000, which reaches 17.
+        pairs = [(SKEWED, 0), (HALVES, 1), (SKEWED, 1)]
+        counts, _ = encode_in_step(pairs)
+        assert counts[2] - counts[1] == 17
+        _, payload = encode_in_step(pairs + [(SKEWED, 1)] * 5)
+        positions = decode_in_step(payload, [t for t, _ in pairs] + [SKEWED] * 5)
+        assert positions[3] - positions[2] == 17
+
+    def test_underflow_bits_flushed_by_a_settled_run(self):
+        # the middle symbol straddles HALF with a width of 2**17: 15 E3 steps
+        enc = OracleEncoder()
+        enc.encode(MIDDLE, 1)
+        assert enc.pending == 15
+        counts, payload = encode_in_step([(MIDDLE, 1), (SKEWED, 1), (SKEWED, 0)])
+        assert counts[0] == 0
+        # the first settled bit, the 15 pending opposite bits, 15 more settled
+        assert counts[1] == 31
+        assert payload[:4] == bytes([0b10000000, 0b00000000, 0b11111111, 0b11111110])
+        decode_in_step(payload, [MIDDLE, SKEWED, SKEWED])
+
+    @pytest.mark.parametrize("kind", ["real", "truncated", "empty"])
+    def test_settled_read_runs_past_the_payload(self, kind):
+        # a 49-bit payload; its reads of 16 and 8 bits start at 33, 49, 65...
+        plan = [HALVES, SKEWED, SKEWED, SKEWED, LOW_BYTE, LOW_BYTE]
+        _, payload = encode_in_step(zip(plan, (1, 1, 1, 1, 0, 0)))
+        assert len(payload) == 7
+        payload = {"real": payload, "truncated": payload[:5], "empty": b""}[kind]
+        positions = decode_in_step(payload, plan)
+        end = 8 * len(payload)
+        reads = [(a, b) for a, b in zip(positions, positions[1:]) if b - a >= 2]
+        if kind == "empty":
+            assert reads  # all of them past the end
+        else:
+            assert any(a < end < b for a, b in reads)

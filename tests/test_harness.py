@@ -95,7 +95,7 @@ class TestSplitMix64:
         rng = SplitMix64(7)
         for _ in range(100):
             u = rng.uniform()
-            assert 0.0 <= u < 1.0
+            assert 0.0 <= u <= 1.0
 
     def test_seed_is_masked_to_64_bits(self):
         assert SplitMix64(1 << 64).next() == SplitMix64(0).next()

@@ -372,16 +372,6 @@ class TestFromCounts:
         assert m.counts is counts
         assert m.tables[0] is counts
 
-    def test_context_length_checked(self):
-        a = Alphabet(("X",))
-        with pytest.raises(ValueError):
-            ContextModel(a, 1, 0.0, {(1, 1): {1: 1}})
-
-    def test_symbol_range_checked(self):
-        a = Alphabet(("X",))
-        with pytest.raises(ValueError):
-            ContextModel(a, 0, 0.0, {(): {9: 1}})
-
 
 class TestValidation:
     """The constructor is the one place a count table is checked, whether it
