@@ -19,7 +19,6 @@ from .harness import (
     gen_markov,
     model_from_chain,
     two_state_chain,
-    uniform_byte_model,
 )
 from .model import (
     BOS,
@@ -55,7 +54,6 @@ from .rewind import (
 from .selector import (
     KeptSet,
     SelectorParams,
-    brute_force_kept,
     full_support,
     marginal_f,
     select_kept,
@@ -89,7 +87,6 @@ __all__ = [
     "TruncatedModelError",
     "UnknownCharacterError",
     "UnsupportedVersionError",
-    "brute_force_kept",
     "build_alphabet",
     "context_key",
     "decode_text",
@@ -115,5 +112,4 @@ __all__ = [
     "surprise",
     "train",
     "two_state_chain",
-    "uniform_byte_model",
 ]

@@ -243,8 +243,3 @@ def model_from_chain(chain: ChainSource, scale: int = 100) -> ContextModel:
     for glyph, state in next_state.items():
         counts[(alphabet.id_of(glyph),)] = _row_counts(chain, state, alphabet, scale)
     return ContextModel(alphabet, 1, 0.0, counts)
-
-
-def uniform_byte_model() -> ContextModel:
-    """Order-0 uniform model over all 256 byte values (as latin-1 glyphs)."""
-    return model_from_chain(ChainSource.iid([chr(b) for b in range(256)], [1 / 256] * 256), 256)

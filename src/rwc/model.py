@@ -113,25 +113,26 @@ def build_alphabet(corpus: str) -> Alphabet:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Per-symbol probabilities, indexed by symbol id (entry 0 is the sentinel).
+    """A next-symbol prediction over ids 0..size-1 (id 0 is the sentinel).
 
-    `predict` also records `_head`: the ids above the smoothing floor, in the
-    matched row's order, unranked. Every other positive id has the floor
-    probability, so the selector ranks only the head. A distribution built by
-    hand has no head, and the selector ranks all of its positive ids.
+    `row` maps the ids above the smoothing floor to their probabilities, in
+    the matched row's order, unranked. Every other id but the sentinel has
+    probability `floor` (0 without smoothing); the sentinel has 0. So the
+    selector ranks only the row, and `probs` lays the whole alphabet out.
     """
 
-    probs: tuple[float, ...]
-    _head: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    row: dict[int, float]
+    floor: float
+    size: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(self.probs))
-
-    def validate(self, tol: float = 1e-9) -> None:
-        if any(p < 0.0 for p in self.probs):
-            raise ValueError("negative probability")
-        if abs(sum(self.probs) - 1.0) > tol:
-            raise ValueError(f"probabilities sum to {sum(self.probs)!r}, not 1")
+    @cached_property
+    def probs(self) -> tuple[float, ...]:
+        """Dense view: the probability of each id, indexed by id."""
+        probs = [0.0] * self.size
+        probs[1:] = [self.floor] * (self.size - 1)
+        for sym, p in self.row.items():
+            probs[sym] = p
+        return tuple(probs)
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.probs) if p > 0.0)
@@ -248,7 +249,7 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
     order-0 row is never empty, so some suffix always matches. The sentinel
     always gets probability 0. Only the matched row's ids can rise above the
     floor that every unseen id gets (beta/total, or 0 without smoothing), so
-    only they go into the head, which the selector ranks.
+    only those that do are kept, in the returned distribution's `row`.
     """
     n = model.alphabet.size
     key = context_key(model.order, history)
@@ -259,13 +260,8 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
     beta = model.smoothing or 0  # int 0 keeps c / total exact; c + 0.0 rounds past 2**53
     total = sum(counts.values()) + beta * (n - 1)
     floor = beta / total
-    probs = [floor] * n
-    probs[BOS] = 0.0
-    for sym, c in counts.items():
-        probs[sym] = (c + beta) / total
-    dist = Distribution(probs)
-    object.__setattr__(dist, "_head", tuple([sym for sym in counts if probs[sym] > floor]))
-    return dist
+    row = {sym: p for sym, c in counts.items() if (p := (c + beta) / total) > floor}
+    return Distribution(row, floor, n)
 
 
 _PAIR = struct.Struct("<IQ")  # (symbol id, count), one per row entry

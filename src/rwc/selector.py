@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
-from operator import add
 from typing import Iterable, Iterator
 
 from .model import Distribution
@@ -99,18 +97,16 @@ class KeptSet:
 def _ranked(dist: Distribution) -> Iterator[int]:
     """Positive-probability ids, highest first, tied ids ascending.
 
-    Ranks the head from `predict`, or every positive id of a hand-built
-    distribution, then yields lazily, in ascending order, the positive ids
-    outside the head. For a distribution from `predict` those all share the
-    floor probability, which is the order a stable sort of every id gives them.
+    Ranks the row, then, when the floor is positive, yields lazily and in
+    ascending order the ids 1..size-1 outside it. Those all share the floor
+    probability, which is below every row entry, so this is the order a
+    stable sort of every id by probability gives.
     """
-    probs, head = dist.probs, dist._head
-    if head is None:
-        head = (i for i, p in enumerate(probs) if p > 0.0)
-    head = sorted(head)
-    head.sort(key=probs.__getitem__, reverse=True)  # stable: tied ids stay ascending
-    seen = set(head)
-    return chain(head, (i for i, p in enumerate(probs) if p > 0.0 and i not in seen))
+    row = dist.row
+    ranked = sorted(row)
+    ranked.sort(key=row.__getitem__, reverse=True)  # stable: tied ids stay ascending
+    rest = range(1, dist.size) if dist.floor > 0.0 else ()
+    return chain(ranked, (i for i in rest if i not in row))
 
 
 def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
@@ -122,16 +118,17 @@ def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
     symbols are never kept. The mass is summed left to right in kept order,
     so the plan does not depend on how the interpreter's sum() rounds.
     """
-    probs = dist.probs
+    prob, floor = dist.row.get, dist.floor
     members, mass = [], 0.0
     for i in _ranked(dist):  # alpha * 0.0 is 0 or NaN, so the first ranked id is kept
-        if probs[i] < params.alpha * mass:
+        p = prob(i, floor)
+        if p < params.alpha * mass:
             break
         members.append(i)
-        mass += probs[i]
+        mass += p
     if not members:
         raise ValueError("distribution has empty support")
-    return KeptSet(tuple(members), tuple([probs[i] / mass for i in members]), mass)
+    return KeptSet(tuple(members), tuple([prob(i, floor) / mass for i in members]), mass)
 
 
 # Every positive probability clears 0 times the kept mass.
@@ -158,28 +155,3 @@ def subset_cost(dist: Distribution, members: Iterable[int]) -> float:
     mass = sum(probs[i] for i in members)
     bits = sum(probs[i] * math.log2(mass / probs[i]) for i in members)
     return 0.25 * bits + 1.0 - mass
-
-
-def brute_force_kept(dist: Distribution) -> KeptSet:
-    """Exhaustively cheapest subset over all 2^n of them: the selection oracle.
-
-    Makes no use of the prefix structure; that is the point. Among minimizers
-    it prefers the longest prefix of the probability ordering, the shape the
-    selection rule produces. Support must be small.
-    """
-    probs = dist.probs
-    ranked = sorted((i for i, p in enumerate(probs) if p > 0.0), key=lambda i: (-probs[i], i))
-    if not ranked:
-        raise ValueError("distribution has empty support")
-    if len(ranked) > 20:
-        raise ValueError("support too large for the brute-force oracle")
-    best_cost = math.inf
-    for mask in range(1, 1 << len(ranked)):
-        members = [ranked[b] for b in range(len(ranked)) if mask >> b & 1]
-        best_cost = min(best_cost, subset_cost(dist, members))
-    for k in range(len(ranked), 0, -1):
-        prefix = ranked[:k]
-        if subset_cost(dist, prefix) <= best_cost + 1e-12:
-            mass = reduce(add, map(probs.__getitem__, prefix), 0)  # left to right, as select_kept
-            return KeptSet(tuple(prefix), tuple([probs[i] / mass for i in prefix]), mass)
-    raise AssertionError("no prefix attains the exhaustive minimum")

@@ -1,0 +1,58 @@
+"""Test-local helpers and oracles that the package itself does not need.
+
+`dense` builds a `Distribution` by hand from a probability list indexed by
+id. `brute_force_kept` is the exhaustive selection oracle, `validate` checks
+that a distribution is a probability distribution, and `uniform_byte_model`
+is the order-0 model of uniformly random bytes.
+"""
+
+import math
+from functools import reduce
+from operator import add
+
+from rwc.harness import ChainSource, model_from_chain
+from rwc.model import ContextModel, Distribution
+from rwc.selector import KeptSet, subset_cost
+
+
+def dense(probs) -> Distribution:
+    """The distribution whose dense view is `probs`, entry 0 the sentinel's,
+    with every positive entry in its row and a floor of 0."""
+    return Distribution({i: p for i, p in enumerate(probs) if p > 0.0}, 0.0, len(probs))
+
+
+def validate(dist: Distribution, tol: float = 1e-9) -> None:
+    if any(p < 0.0 for p in dist.probs):
+        raise ValueError("negative probability")
+    if abs(sum(dist.probs) - 1.0) > tol:
+        raise ValueError(f"probabilities sum to {sum(dist.probs)!r}, not 1")
+
+
+def brute_force_kept(dist: Distribution) -> KeptSet:
+    """Exhaustively cheapest subset over all 2^n of them: the selection oracle.
+
+    Makes no use of the prefix structure; that is the point. Among minimizers
+    it prefers the longest prefix of the probability ordering, the shape the
+    selection rule produces. Support must be small.
+    """
+    probs = dist.probs
+    ranked = sorted((i for i, p in enumerate(probs) if p > 0.0), key=lambda i: (-probs[i], i))
+    if not ranked:
+        raise ValueError("distribution has empty support")
+    if len(ranked) > 20:
+        raise ValueError("support too large for the brute-force oracle")
+    best_cost = math.inf
+    for mask in range(1, 1 << len(ranked)):
+        members = [ranked[b] for b in range(len(ranked)) if mask >> b & 1]
+        best_cost = min(best_cost, subset_cost(dist, members))
+    for k in range(len(ranked), 0, -1):
+        prefix = ranked[:k]
+        if subset_cost(dist, prefix) <= best_cost + 1e-12:
+            mass = reduce(add, map(probs.__getitem__, prefix), 0)  # left to right, as select_kept
+            return KeptSet(tuple(prefix), tuple([probs[i] / mass for i in prefix]), mass)
+    raise AssertionError("no prefix attains the exhaustive minimum")
+
+
+def uniform_byte_model() -> ContextModel:
+    """Order-0 uniform model over all 256 byte values (as latin-1 glyphs)."""
+    return model_from_chain(ChainSource.iid([chr(b) for b in range(256)], [1 / 256] * 256), 256)

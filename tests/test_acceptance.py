@@ -20,11 +20,9 @@ from rwc.harness import (
     gen_markov,
     model_from_chain,
     two_state_chain,
-    uniform_byte_model,
 )
 from rwc.model import (
     Alphabet,
-    Distribution,
     build_alphabet,
     entropy,
     predict,
@@ -34,13 +32,14 @@ from rwc.model import (
 from rwc.rewind import decode_text, encode_document, render_guess_line, run_trace
 from rwc.selector import (
     SelectorParams,
-    brute_force_kept,
     marginal_f,
     select_kept,
     solve_alpha,
     subset_cost,
 )
 from rwc.selector import _CACHED_ALPHA
+
+from oracles import brute_force_kept, dense, uniform_byte_model
 
 PARAMS = SelectorParams.default()
 
@@ -61,7 +60,7 @@ def seeded_dists(seed, count, min_weight):
         size = 2 + rng.next() % 9
         weights = [min_weight + rng.uniform() for _ in range(size)]
         mass = sum(weights)
-        yield Distribution((0.0,) + tuple(w / mass for w in weights))
+        yield dense((0.0,) + tuple(w / mass for w in weights))
 
 
 def test_criterion_01_threshold_constant():
@@ -94,7 +93,7 @@ def test_criterion_03_surprise_and_entropy():
     with criterion(3, "surprise and entropy of the three-character source"):
         assert abs(surprise(0.49) - 1.0291) <= 5e-4
         assert abs(surprise(0.02) - 5.6439) <= 5e-4
-        eta = Distribution((0.0, 0.49, 0.49, 0.02))
+        eta = dense((0.0, 0.49, 0.49, 0.02))
         assert abs(entropy(eta) - 1.1214) <= 5e-4
 
 

@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 import rwc.cli
 from rwc.cli import main
 from rwc.harness import ChainSource, SplitMix64, gen_markov, model_from_chain
-from rwc.model import Alphabet, ContextModel, Distribution, entropy, surprise
+from rwc.model import Alphabet, ContextModel, entropy, surprise
+
+from oracles import dense
 
 # --- the oracles ------------------------------------------------------------
 
@@ -34,7 +36,7 @@ def oracle_cmd_analyze(args):
     probs = [c / len(corpus) for _, c in ranked]
     for (ch, _), p in zip(ranked, probs):
         print(f"char={ch!r} p={p:.6f} surprise={surprise(p):.6f}")
-    print(f"entropy={entropy(Distribution(probs)):.6f}")
+    print(f"entropy={entropy(dense([0.0, *probs])):.6f}")
     return 0
 
 

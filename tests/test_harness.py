@@ -17,7 +17,6 @@ from rwc.harness import (
     gen_markov,
     model_from_chain,
     two_state_chain,
-    uniform_byte_model,
 )
 from rwc.coder import FrequencyTable
 from rwc.model import (
@@ -30,6 +29,8 @@ from rwc.model import (
     train,
 )
 from rwc.rewind import encode_document, run_trace
+
+from oracles import uniform_byte_model
 
 PLAN_CORPUS = "the cat sat on the mat; the rat ate the hat."
 

@@ -27,6 +27,8 @@ from rwc.model import (
     train,
 )
 
+from oracles import dense, validate
+
 
 class TestAlphabet:
     def test_build_alphabet_sorts_by_code_point(self):
@@ -189,7 +191,7 @@ class TestPredict:
         d = predict(m, hist)
         assert d.probs[BOS] == 0.0
         assert math.isclose(sum(d.probs), 1.0, abs_tol=1e-9)
-        d.validate()
+        validate(d)
 
 
 class TestSurpriseEntropy:
@@ -207,33 +209,39 @@ class TestSurpriseEntropy:
             surprise(-0.1)
 
     def test_entropy_examples(self):
-        assert entropy(Distribution((0.0, 0.49, 0.49, 0.02))) == pytest.approx(1.1214, abs=5e-4)
-        assert entropy(Distribution((0.0, 0.5, 0.5))) == 1.0
-        assert entropy(Distribution((0.0, 1.0))) == 0.0
+        assert entropy(dense((0.0, 0.49, 0.49, 0.02))) == pytest.approx(1.1214, abs=5e-4)
+        assert entropy(dense((0.0, 0.5, 0.5))) == 1.0
+        assert entropy(dense((0.0, 1.0))) == 0.0
 
     @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8))
     def test_entropy_bounded_by_log_support(self, weights):
         s = sum(weights)
-        d = Distribution((0.0,) + tuple(w / s for w in weights))
+        d = dense((0.0,) + tuple(w / s for w in weights))
         h = entropy(d)
         assert h <= math.log2(len(weights)) + 1e-9
 
     def test_entropy_equality_iff_uniform(self):
-        uniform = Distribution((0.0,) + (0.125,) * 8)
+        uniform = dense((0.0,) + (0.125,) * 8)
         assert entropy(uniform) == pytest.approx(3.0, abs=1e-9)
-        skewed = Distribution((0.0, 0.2, 0.8))
+        skewed = dense((0.0, 0.2, 0.8))
         assert entropy(skewed) < 1.0 - 1e-9
 
 
 class TestDistribution:
     def test_validate_rejects_negative_and_unnormalized(self):
         with pytest.raises(ValueError):
-            Distribution((0.0, -0.1, 1.1)).validate()
+            validate(Distribution({1: -0.1, 2: 1.1}, 0.0, 3))
         with pytest.raises(ValueError):
-            Distribution((0.0, 0.3, 0.3)).validate()
+            validate(dense((0.0, 0.3, 0.3)))
 
     def test_support(self):
-        assert Distribution((0.0, 0.5, 0.0, 0.5)).support() == (1, 3)
+        assert dense((0.0, 0.5, 0.0, 0.5)).support() == (1, 3)
+
+    def test_probs_lays_the_row_over_the_floor(self):
+        d = Distribution({2: 0.5}, 0.25, 4)
+        assert d.probs == (0.0, 0.25, 0.5, 0.25)
+        assert d.support() == (1, 2, 3)
+        assert Distribution({}, 0.0, 0).probs == ()
 
 
 class TestModelFile:
@@ -302,7 +310,7 @@ class TestModelFile:
             m = parse_model(damaged)
         except ModelFormatError:
             return
-        predict(m, []).validate()
+        validate(predict(m, []))
 
 
 def oracle_serialize(model):
@@ -409,7 +417,7 @@ class TestValidation:
 
     def test_largest_finite_smoothing_mass_accepted(self):
         m = ContextModel(Alphabet(("X", "Y")), 0, 5e307, {(): {1: 1}})
-        predict(m, []).validate()
+        validate(predict(m, []))
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="order"):

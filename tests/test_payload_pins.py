@@ -22,9 +22,11 @@ from hypothesis import strategies as st
 import rwc.coder
 import rwc.selector
 from rwc.coder import quantize
-from rwc.model import Alphabet, ContextModel, Distribution, build_alphabet, predict, train
+from rwc.model import Alphabet, ContextModel, build_alphabet, predict, train
 from rwc.rewind import encode_document
 from rwc.selector import SelectorParams, full_support, select_kept
+
+from oracles import dense
 
 PARAMS = SelectorParams.default()
 CORPUS = Path(__file__).resolve().parents[1] / "bench" / "data" / "text-d454171.txt"
@@ -52,7 +54,7 @@ def compensated_sum(iterable, /, start=0):
 
 def drift_dist():
     total = sum(DRIFT_COUNTS) + 0.1 * len(DRIFT_COUNTS)
-    return Distribution((0.0,) + tuple((c + 0.1) / total for c in DRIFT_COUNTS))
+    return dense((0.0,) + tuple((c + 0.1) / total for c in DRIFT_COUNTS))
 
 
 def plans(dist):

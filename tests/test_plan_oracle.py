@@ -3,15 +3,17 @@
 A plan is predict -> select_kept (or full_support) -> quantize ->
 FrequencyTable.from_freqs. The oracle functions below are the straightforward
 versions of those stages: a full loop over the alphabet in `predict`, a
-tuple-keyed sort in `_ranked`, and plain loops in `quantize` and `from_freqs`.
+tuple-keyed sort of every positive id in `_ranked`, and plain loops in
+`quantize` and `from_freqs`.
 The library versions must return the same values to the bit, and raise the
 same exception type wherever an oracle raises. Float masses are summed left
 to right, which is what `sum()` did before CPython 3.12 made it compensated.
 
-`predict` also hands the selector an unranked head of the seen ids above the
-floor, and the selector ranks it and walks it before the ids at the floor. A
-hand-built `Distribution` has no head, so the selector ranks all of its
-positive ids; that dense path is the oracle for the head path.
+`predict` returns only the matched row's ids above the smoothing floor and
+the floor itself; the selector ranks that row, then walks the other ids at the
+floor in ascending order. `oracle_predict` lays out a probability for every
+id, and the oracle selector ranks them all. So whole plans are compared: the
+sparse row and floor against the dense list, at smoothing 0 and above it.
 """
 
 import math
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 
 from rwc.coder import TOTAL, FrequencyTable, quantize
 from rwc.model import (
+    BOS,
     MAX_COUNT,
     Alphabet,
     ContextModel,
@@ -38,6 +41,8 @@ from rwc.model import (
     train,
 )
 from rwc.selector import KeptSet, SelectorParams, full_support, select_kept
+
+from oracles import dense
 
 PARAMS = SelectorParams.default()
 
@@ -62,7 +67,7 @@ def oracle_predict(model, history):
         total = sum(counts.values())
         for sym, c in counts.items():
             probs[sym] = c / total
-    return Distribution(tuple(probs))
+    return dense(probs)
 
 
 def oracle_ranked(probs):
@@ -173,6 +178,7 @@ def plan(dist, lossless, select, full, quant, table):
 
 def assert_same_plan(model, history, lossless):
     dist = predict(model, history)
+    assert BOS not in dist.row and all(p > dist.floor for p in dist.row.values())
     want = oracle_predict(model, history)
     assert bits(dist.probs) == bits(want.probs)
     got = outcome(plan, dist, lossless, select_kept, full_support, quantize,
@@ -217,19 +223,19 @@ def test_counts_past_two_to_the_53_divide_exactly():
     assert predict(m, []).probs[1] != (2**53 + 1 + 0.0) / (2**53 + 2**62 + 4)
 
 
-# --- the ranked head against the dense ranking -------------------------------
+# --- whole plans from the row and the floor ----------------------------------
 
 # 2**60 swamps any count up to 9 (c + beta == beta), so those seen ids tie with
-# the floor; 5e-324 rounds the floor itself to 0, so unseen ids drop out. A
-# model file can carry -0.0, which must predict exactly as 0.0.
-HEAD_SMOOTHINGS = [0.0, -0.0, 0.1, 1e12, 2.0**60, 5e-324]
+# the floor and stay out of the row; 5e-324 rounds the floor itself to 0, so
+# unseen ids drop out. A model file can carry -0.0, which must predict exactly as 0.0.
+ROW_SMOOTHINGS = [0.0, -0.0, 0.1, 1.0, 1e12, 2.0**60, 5e-324]
 
 
 @st.composite
-def head_models(draw):
+def row_models(draw):
     n_glyphs = draw(st.integers(1, 6))
     order = draw(st.integers(0, 2))
-    smoothing = draw(st.sampled_from(HEAD_SMOOTHINGS))
+    smoothing = draw(st.sampled_from(ROW_SMOOTHINGS))
     sym = st.integers(1, n_glyphs)
     count = st.one_of(st.integers(1, 9), st.integers(1, MAX_COUNT), st.just(MAX_COUNT))
     row = st.one_of(
@@ -243,45 +249,55 @@ def head_models(draw):
     return ContextModel(alphabet, order, smoothing, table)
 
 
-def assert_head_ranks_as_dense(model, history):
-    """The head path of `predict`'s output plans exactly as the dense path of a
-    hand-built copy, which has no head."""
-    dist = predict(model, history)
-    dense = Distribution(dist.probs)
-    assert dist._head is not None and dense._head is None
-    assert dist == dense and repr(dist) == repr(dense)
-    assert outcome(full_support, dist) == outcome(full_support, dense)
-    assert outcome(select_kept, dist, PARAMS) == outcome(select_kept, dense, PARAMS)
+def order0(n_glyphs, smoothing, row):
+    """An order-0 model over the glyphs A, B, ... with one count row."""
+    return ContextModel(Alphabet(tuple(chr(0x41 + i) for i in range(n_glyphs))), 0, smoothing,
+                        {(): row})
+
+
+# The floor 1/9 of eight glyphs at smoothing 1 clears alpha times the kept mass
+# for four of the seven floor ids.
+FLOOR_KEPT_LOSSY = order0(8, 1.0, {3: 1})
+SWAMPED = order0(5, 2.0**60, {4: 3, 2: 1})
+PAST_2_53 = order0(3, 0.0, {1: 2**53 + 1, 2: 2**62 + 3})  # C is unseen: probability 0
 
 
 @settings(max_examples=400)
-@given(head_models(), st.data())
-def test_head_plans_equal_dense_plans(model, data):
+@given(row_models(), st.lists(st.integers(1, 6), max_size=4))
+@example(order0(5, 0.5, {5: 2, 3: 7, 1: 2}), [])
+@example(FLOOR_KEPT_LOSSY, [])
+@example(SWAMPED, [])
+@example(PAST_2_53, [])
+def test_predicted_plans_equal_the_oracle_plans(model, history):
     n = model.alphabet.size
-    for _ in range(3):
-        assert_head_ranks_as_dense(model, data.draw(st.lists(st.integers(1, n - 1), max_size=4)))
-    for ctx in model.counts:
-        assert_head_ranks_as_dense(model, list(ctx))
+    for lossless in (False, True):
+        assert_same_plan(model, [1 + s % (n - 1) for s in history], lossless)
+        for ctx in model.counts:
+            assert_same_plan(model, list(ctx), lossless)
 
 
 def test_seen_ids_swamped_by_smoothing_rank_in_the_tail():
     # c + beta == beta for both seen ids, so all five ids tie at the floor and
     # the ranking is ascending id, the same as the dense stable sort.
-    a = Alphabet(tuple("ABCDE"))
-    m = ContextModel(a, 0, 2.0**60, {(): {4: 3, 2: 1}})
-    dist = predict(m, [])
-    assert dist._head == ()
+    dist = predict(SWAMPED, [])
+    assert dist.row == {}
     assert full_support(dist).members == (1, 2, 3, 4, 5)
-    assert_head_ranks_as_dense(m, [])
+    assert_same_plan(SWAMPED, [], lossless=True)
 
 
 def test_head_ranks_seen_ids_by_probability_then_id():
-    a = Alphabet(tuple("ABCDE"))
-    m = ContextModel(a, 0, 0.5, {(): {5: 2, 3: 7, 1: 2}})
+    m = order0(5, 0.5, {5: 2, 3: 7, 1: 2})
     dist = predict(m, [])
-    assert sorted(dist._head) == [1, 3, 5]
+    assert sorted(dist.row) == [1, 3, 5]
     assert full_support(dist).members == (3, 1, 5, 2, 4)
-    assert_head_ranks_as_dense(m, [])
+    assert_same_plan(m, [], lossless=True)
+
+
+def test_floor_ids_are_kept_in_ascending_order():
+    dist = predict(FLOOR_KEPT_LOSSY, [])
+    assert (dist.row, dist.floor) == ({3: 2 / 9}, 1 / 9)
+    assert select_kept(dist, PARAMS).members == (3, 1, 2, 4, 5)
+    assert_same_plan(FLOOR_KEPT_LOSSY, [], lossless=False)
 
 
 # --- hand-built distributions -----------------------------------------------
@@ -305,7 +321,7 @@ ALPHAS = st.sampled_from([PARAMS.alpha, 0.0, 0.5, 1.0, math.inf, math.nan, -1.0]
 @example([0.0, math.inf, 0.5, math.inf], False, math.inf)
 @example([0.0, 5e-324, 0.25, 0.25], False, math.nan)
 def test_hand_built_distributions_rank_identically(probs, lossless, alpha):
-    dist = Distribution(tuple(probs))
+    dist = dense(probs)
     params = SelectorParams(alpha=alpha)
     if lossless:
         assert outcome(full_support, dist) == outcome(oracle_full_support, dist)
@@ -314,7 +330,7 @@ def test_hand_built_distributions_rank_identically(probs, lossless, alpha):
 
 
 @settings(max_examples=200)
-@given(head_models(), st.data(), ALPHAS)
+@given(row_models(), st.data(), ALPHAS)
 def test_predicted_distributions_select_as_the_oracle_at_any_alpha(model, data, alpha):
     params = SelectorParams(alpha=alpha)
     n = model.alphabet.size

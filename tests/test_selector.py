@@ -4,17 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rwc.model import Alphabet, ContextModel, Distribution, predict
+from rwc.model import Alphabet, ContextModel, predict
 from rwc.selector import (
     KeptSet,
     SelectorParams,
-    brute_force_kept,
     full_support,
     marginal_f,
     select_kept,
     solve_alpha,
     subset_cost,
 )
+
+from oracles import brute_force_kept, dense
 
 # Root of the keep/drop threshold equation, found independently by Newton
 # iteration to full float precision.
@@ -23,7 +24,7 @@ ALPHA_REF = 0.1854203093019385
 
 def dist(*weights):
     s = sum(weights)
-    return Distribution((0.0,) + tuple(w / s for w in weights))
+    return dense((0.0,) + tuple(w / s for w in weights))
 
 ETA = dist(0.49, 0.49, 0.02)
 
@@ -108,7 +109,7 @@ class TestSubsetCost:
         assert subset_cost(dist(1.0), (1,)) == 0.0
 
     def test_zero_probability_member_rejected(self):
-        d = Distribution((0.0, 0.5, 0.5, 0.0))
+        d = dense((0.0, 0.5, 0.5, 0.0))
         with pytest.raises(ValueError):
             subset_cost(d, (1, 3))
 
@@ -134,7 +135,7 @@ class TestSelectKept:
         assert kept.renorm == pytest.approx((0.5, 0.5), abs=1e-12)
 
     def test_uniform_256_keeps_six(self, params):
-        d = Distribution((0.0,) + (1 / 256,) * 256)
+        d = dense((0.0,) + (1 / 256,) * 256)
         assert len(select_kept(d, params).members) == 6
 
     def test_single_symbol(self, params):
@@ -149,16 +150,16 @@ class TestSelectKept:
             assert len(select_kept(d, params).members) == expect
 
     def test_probability_ties_break_by_ascending_id(self, params):
-        d = Distribution((0.0, 0.25, 0.25, 0.25, 0.25))
+        d = dense((0.0, 0.25, 0.25, 0.25, 0.25))
         assert select_kept(d, params).members == (1, 2, 3, 4)
 
     def test_zero_probability_never_kept(self, params):
-        d = Distribution((0.0, 0.5, 0.0, 0.5))
+        d = dense((0.0, 0.5, 0.0, 0.5))
         assert 2 not in select_kept(d, params).members
 
     def test_empty_support_rejected(self, params):
         with pytest.raises(ValueError):
-            select_kept(Distribution((0.0, 0.0)), params)
+            select_kept(dense((0.0, 0.0)), params)
 
     @given(positive_dists())
     def test_members_form_a_probability_sorted_prefix(self, d):
@@ -198,11 +199,11 @@ class TestBruteForce:
         assert subset_cost(dist(1.0), kept.members) == 0.0
 
     def test_uniform_ten_matches_selection(self, params):
-        d = Distribution((0.0,) + (0.1,) * 10)
+        d = dense((0.0,) + (0.1,) * 10)
         assert brute_force_kept(d).members == select_kept(d, params).members
 
     def test_large_support_refused(self):
-        d = Distribution((0.0,) + (1 / 21,) * 21)
+        d = dense((0.0,) + (1 / 21,) * 21)
         with pytest.raises(ValueError):
             brute_force_kept(d)
 

@@ -4,7 +4,8 @@ The runtime is stdlib only, so every absolute import must name a standard
 library module. And every name a module imports must be used in it;
 `__init__.py` is exempt, because it imports to re-export. What it imports is
 exactly what `rwc.__all__` lists, once each and sorted, so a deleted name
-cannot leave a stale export behind.
+cannot leave a stale export behind. And every exported name is used by the
+package itself, the scripts or the benchmark, so no test-only helper ships.
 """
 
 import ast
@@ -15,7 +16,8 @@ import pytest
 
 import rwc
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "rwc").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "rwc").glob("*.py"))
 
 
 def parse(path):
@@ -62,3 +64,16 @@ def test_all_lists_each_imported_name_once_in_order():
     assert rwc.__all__ == sorted(rwc.__all__)
     assert len(set(rwc.__all__)) == len(rwc.__all__)
     assert set(rwc.__all__) == imported
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    callers = [p for p in SOURCES if p.name != "__init__.py"]
+    callers += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    used = set()
+    for path in callers:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert [name for name in rwc.__all__ if name not in used] == []
