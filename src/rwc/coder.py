@@ -104,12 +104,13 @@ class Encoder:
         self._bits = bytearray()  # ASCII "0"/"1", so finish() can parse it in one int()
 
     def encode(self, table: FrequencyTable, index: int) -> None:
-        if not 0 <= index < len(table):
+        cum = table.cum
+        if not 0 <= index < len(cum) - 1:
             raise ValueError("symbol not kept")
         low, pending, bits = self.low, self.pending, self._bits
         rng = self.high - low + 1
-        high = low + (rng * table.cum[index + 1]) // TOTAL - 1
-        low += (rng * table.cum[index]) // TOTAL
+        high = low + (rng * cum[index + 1]) // TOTAL - 1
+        low += (rng * cum[index]) // TOTAL
         if low ^ high < QUARTER:
             # the top s = PRECISION - t >= 2 bits of low and high agree: shift
             # them out in one step, any pending underflow bits after the first

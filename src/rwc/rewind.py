@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import ne
+from typing import NamedTuple
 
 from .coder import Decoder, Encoder, FrequencyTable, quantize
 from .model import ContextModel, UnknownCharacterError, context_key, predict
@@ -49,8 +50,7 @@ class EncodeReport:
     skipped: int
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """One reveal, as `DecoderSession.reveal` returns it: the guess and the true character."""
 
     guessed: str
@@ -155,11 +155,11 @@ def encode_document(
     skipped = 0
     ctx = context_key(model.order, ())
     for sym in syms:
-        _, table, index_of = plans[ctx]
+        members, table, index_of = plans[ctx]
         idx = index_of.get(sym)
         if idx is None:
             skipped += 1
-        else:
+        elif len(members) > 1:  # a one-member table (0, TOTAL) leaves the coder as it was
             enc.encode(table, idx)
         ctx = (ctx + (sym,))[1:]
     return HintsFile(enc.finish()), EncodeReport(kept=len(syms) - skipped, skipped=skipped)
@@ -187,6 +187,8 @@ class DecoderSession:
         self.model = model
         self._plans = _plans_for(model, params, lossless, plans)
         self._decoder = Decoder(hints.payload)
+        self._ids = model.alphabet._ids
+        self._glyphs = model.alphabet.glyphs  # id i is glyphs[i - 1]; plans never keep id 0
         self._ctx = context_key(model.order, ())
         self._position = 0
         self._pending: tuple[int, tuple[int, int, int, int]] | None = None
@@ -196,21 +198,25 @@ class DecoderSession:
             members, table, _ = self._plans[self._ctx]
             state = self._decoder.checkpoint()
             self._pending = (members[self._decoder.decode(table)], state)
-        return self.model.alphabet.glyph_of(self._pending[0])
+        return self._glyphs[self._pending[0] - 1]
 
     def reveal(self, truth: str) -> StepOutcome:
-        guessed = self.next_guess()
-        guess_sym, state = self._pending
-        try:
-            truth_sym = self.model.alphabet.id_of(truth)
-        except ValueError:
-            raise UnknownCharacterError(truth, self._position) from None
+        # The whole step in one frame: this runs once per decoded position.
+        truth_sym = self._ids.get(truth)  # an unhashable truth raises here, before any decode
+        if self._pending is None:
+            members, table, _ = self._plans[self._ctx]
+            state = self._decoder.checkpoint()
+            guess_sym = members[self._decoder.decode(table)]
+        else:
+            (guess_sym, state), self._pending = self._pending, None
+        if truth_sym is None:
+            self._pending = (guess_sym, state)  # the guess stays pinned for the next reveal
+            raise UnknownCharacterError(truth, self._position)
         if truth_sym != guess_sym:
             self._decoder.restore(state)
         self._ctx = (self._ctx + (truth_sym,))[1:]
         self._position += 1
-        self._pending = None
-        return StepOutcome(guessed=guessed, truth=truth)
+        return StepOutcome(self._glyphs[guess_sym - 1], truth)
 
 
 def run_trace(
@@ -223,8 +229,8 @@ def run_trace(
     plans: _PlanCache | None = None,
 ) -> DecodeTrace:
     """Drive a DecoderSession over `text`; the trace is its guess line and `text`."""
-    session = DecoderSession(model, params, hints, lossless=lossless, plans=plans)
-    return DecodeTrace("".join([session.reveal(ch).guessed for ch in text]), text)
+    reveal = DecoderSession(model, params, hints, lossless=lossless, plans=plans).reveal
+    return DecodeTrace("".join([reveal(ch).guessed for ch in text]), text)
 
 
 def decode_text(

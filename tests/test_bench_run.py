@@ -3,8 +3,8 @@
 bytes-lossless is the only workload whose plans come from `full_support`
 rather than `select_kept`, so its run covers the lossless plan path under
 the tracer's wrappers. text-k4 builds thousands of plans, so its run counts
-how many one traced evaluate builds. The copy keeps `bench/out/` of the
-checkout untouched.
+how many one traced evaluate builds, and how many coder calls it makes. The
+copy keeps `bench/out/` of the checkout untouched.
 """
 
 import json
@@ -45,3 +45,7 @@ def test_traced_evaluate_builds_each_text_plan_once(tmp_path):
     metrics = traced_run(tmp_path, "text-k4")
     assert metrics["rewind.plan.builds"] == metrics["selector.select.calls"] == 5_338
     assert metrics["selector.kept_mean"] == pytest.approx(1.6122, abs=5e-5)
+    # The encode walk makes no coder call at a one-member plan; the decode
+    # walk still decodes every position.
+    assert metrics["coder.encode.calls"] == 3_206
+    assert metrics["coder.decode.calls"] == 12_778

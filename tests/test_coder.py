@@ -145,8 +145,10 @@ class TestEncoder:
 
     def test_out_of_range_index_rejected(self):
         enc = Encoder()
-        with pytest.raises(ValueError, match="symbol not kept"):
-            enc.encode(HALVES, 2)
+        for index in (-1, len(HALVES)):
+            with pytest.raises(ValueError, match="symbol not kept"):
+                enc.encode(HALVES, index)
+        assert (enc.low, enc.high, enc.pending, bytes(enc._bits)) == (0, MASK, 0, b"")
 
     def test_interval_width_stays_above_quarter(self):
         enc = Encoder()
@@ -511,3 +513,38 @@ class TestAgainstTheBitwiseCoder:
             assert reads  # all of them past the end
         else:
             assert any(a < end < b for a, b in reads)
+
+
+CERTAIN = FrequencyTable((0, TOTAL))
+
+
+@settings(max_examples=300)
+@given(
+    TABLES,
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 23)), max_size=150),
+    st.binary(max_size=24),
+)
+def test_a_one_member_table_never_moves_the_coder(tables, raw, garbage):
+    """Coding under (0, TOTAL) maps the interval onto itself, so neither side
+    changes state: the premise of skipping the call when a plan has one member."""
+    pool = [*tables, CERTAIN]
+    plan = [pool[t % len(pool)] for t, _ in raw]
+    syms = [s % len(table) for table, (_, s) in zip(plan, raw)]
+    enc = Encoder()
+    for table, sym in zip(plan, syms):
+        before = (enc.low, enc.high, enc.pending, bytes(enc._bits))
+        enc.encode(table, sym)
+        if len(table) == 1:
+            assert (enc.low, enc.high, enc.pending, bytes(enc._bits)) == before
+    payload = enc.finish()
+    for stream in (payload, garbage):
+        dec = Decoder(stream)
+        decoded = []
+        for table in plan:
+            before = dec.checkpoint()
+            decoded.append(dec.decode(table))
+            if len(table) == 1:
+                assert decoded[-1] == 0
+                assert dec.checkpoint() == before
+        if stream is payload:
+            assert decoded == syms

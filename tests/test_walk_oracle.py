@@ -5,6 +5,9 @@ one position to the next. The oracle below is the earlier walk: it appends
 every symbol to a history list and cuts the context from that list at each
 step. Both must give the same hints, the same kept/skipped counts, and the
 same guess at every position, for any model, text, payload and `lossless`.
+The oracle's session is also the earlier two-call step (`reveal` through
+`next_guess`), against which the one-frame `reveal` must leave the coder in
+the same state after every reveal, rejected ones included.
 """
 
 import pytest
@@ -13,7 +16,14 @@ from hypothesis import strategies as st
 
 from rwc.coder import Decoder, Encoder, FrequencyTable, quantize
 from rwc.model import Alphabet, ContextModel, UnknownCharacterError, context_key, predict
-from rwc.rewind import DecoderSession, HintsFile, decode_text, encode_document, run_trace
+from rwc.rewind import (
+    DecoderSession,
+    HintsFile,
+    StepOutcome,
+    decode_text,
+    encode_document,
+    run_trace,
+)
 from rwc.selector import SelectorParams, full_support, select_kept
 
 PARAMS = SelectorParams.default()
@@ -147,3 +157,40 @@ def test_walk_matches_the_history_walk(model, data, foreign, lossless):
     with pytest.raises(UnknownCharacterError) as exc:
         session.reveal("?")
     assert (exc.value.char, exc.value.position) == ("?", len(text))
+
+
+@settings(max_examples=300)
+@given(models(), st.data(), st.binary(max_size=6), st.booleans())
+def test_each_reveal_leaves_the_oracle_session_state(model, data, foreign, lossless):
+    text = data.draw(st.text(alphabet=model.alphabet.glyphs, max_size=12))
+    bad_at = data.draw(st.integers(0, len(text)))
+    hints, _ = encode_document(model, PARAMS, text, lossless=lossless)
+    for payload in (hints.payload, foreign):
+        session = DecoderSession(model, PARAMS, HintsFile(payload), lossless=lossless)
+        oracle = OracleSession(model, PARAMS, payload, lossless)
+        for position in range(len(text) + 1):
+            if position == bad_at:
+                with pytest.raises(UnknownCharacterError) as exc:
+                    session.reveal("?")
+                assert exc.value.position == position
+                # the guess decoded for the rejected reveal stays pinned
+                guess, bits = session.next_guess(), session._decoder.bits_read
+                assert guess == oracle.next_guess()
+                assert session._decoder.checkpoint() == oracle._decoder.checkpoint()
+                with pytest.raises(UnknownCharacterError) as again:
+                    session.reveal("?")
+                assert again.value.position == position
+                assert (session.next_guess(), session._decoder.bits_read) == (guess, bits)
+            if position < len(text):
+                truth = text[position]
+                step = session.reveal(truth)
+                guessed, _, rewound = oracle.reveal(truth)
+                assert (step.guessed, step.truth, step.rewound) == (guessed, truth, rewound)
+                assert session._decoder.checkpoint() == oracle._decoder.checkpoint()
+
+
+def test_a_step_outcome_is_immutable():
+    step = StepOutcome("A", "B")
+    with pytest.raises(AttributeError):
+        step.guessed = "B"
+    assert (step.correct, step.rewound) == (False, True)
