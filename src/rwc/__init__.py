@@ -23,13 +23,10 @@ from .harness import (
 from .model import (
     BOS,
     Alphabet,
-    BadMagicError,
     ContextModel,
     Distribution,
     ModelFormatError,
-    TruncatedModelError,
     UnknownCharacterError,
-    UnsupportedVersionError,
     build_alphabet,
     context_key,
     entropy,
@@ -67,7 +64,6 @@ __all__ = [
     "ACCEPTANCE_SEED",
     "Alphabet",
     "BOS",
-    "BadMagicError",
     "ChainSource",
     "ContextModel",
     "DecodeTrace",
@@ -84,9 +80,7 @@ __all__ = [
     "SelectorParams",
     "SplitMix64",
     "StepOutcome",
-    "TruncatedModelError",
     "UnknownCharacterError",
-    "UnsupportedVersionError",
     "build_alphabet",
     "context_key",
     "decode_text",

@@ -68,10 +68,6 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise OSError(exc.errno, exc.strerror, path) from exc
 
 
-def _load_model(path: str):
-    return parse_model(_read_bytes(path))
-
-
 def cmd_alpha(args) -> int:
     alpha = SelectorParams.default().alpha
     print(f"{alpha:.10f}")
@@ -88,7 +84,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    model = _load_model(args.model)
+    model = parse_model(_read_bytes(args.model))
     hints, report = encode_document(model, SelectorParams.default(), _read_text(args.text))
     _write_atomic(args.out, hints.payload)
     print(
@@ -99,7 +95,7 @@ def cmd_encode(args) -> int:
 
 
 def _trace(args) -> DecodeTrace:
-    model = _load_model(args.model)
+    model = parse_model(_read_bytes(args.model))
     hints, text = HintsFile(_read_bytes(args.hints)), _read_text(args.text)
     return run_trace(model, SelectorParams.default(), hints, text)
 
@@ -136,7 +132,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _load_model(args.model)
+    model = parse_model(_read_bytes(args.model))
     report, _ = evaluate(model, SelectorParams.default(), _read_text(args.text))
     for line in report.lines():
         print(line)

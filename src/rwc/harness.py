@@ -12,6 +12,7 @@ suite is reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -153,13 +154,6 @@ class ChainSource:
         return cls(start="", rows={"": tuple((g, p, "") for g, p in zip(glyphs, probs))})
 
 
-def _pick(cum: Sequence[float], u: float) -> int:
-    # `uniform` can return exactly 1.0 (cum[-1]), which bisects past the last
-    # entry that `cum` covers; the clamp maps it to that entry.
-    i = bisect_right(cum, u) - 1
-    return min(i, len(cum) - 2)
-
-
 def gen_markov(chain: ChainSource, n: int, seed: int) -> str:
     """Walk the chain from its start state for n emissions."""
     if n < 0:
@@ -167,16 +161,16 @@ def gen_markov(chain: ChainSource, n: int, seed: int) -> str:
     rng = SplitMix64(seed)
     cums: dict[str, list[float]] = {}
     for state, row in chain.rows.items():
-        # End at the last entry of positive probability: `_pick` clamps to it.
+        # Cut at the last entry of positive probability and end at inf, not
+        # 1.0: `uniform` can return exactly 1.0, and bisect_right must land on
+        # that entry for it too, not one past the end.
         last = max(i for i, (_, p, _) in enumerate(row) if p > 0)
-        cum = list(accumulate((p for _, p, _ in row[: last + 1]), initial=0.0))
-        cum[-1] = 1.0
-        cums[state] = cum
+        cums[state] = [*accumulate((p for _, p, _ in row[:last]), initial=0.0), math.inf]
     out = []
     state = chain.start
     for _ in range(n):
         row = chain.rows[state]
-        glyph, _, state = row[_pick(cums[state], rng.uniform())]
+        glyph, _, state = row[bisect_right(cums[state], rng.uniform()) - 1]
         out.append(glyph)
     return "".join(out)
 

@@ -31,19 +31,7 @@ _VERSION = b"2"
 
 
 class ModelFormatError(ValueError):
-    """A model file could not be parsed."""
-
-
-class BadMagicError(ModelFormatError):
-    pass
-
-
-class UnsupportedVersionError(ModelFormatError):
-    pass
-
-
-class TruncatedModelError(ModelFormatError):
-    pass
+    """A model file could not be parsed; the message says why."""
 
 
 class UnknownCharacterError(ValueError):
@@ -82,9 +70,6 @@ class Alphabet:
     def size(self) -> int:
         """Number of symbol ids, sentinel included."""
         return len(self.glyphs) + 1
-
-    def __contains__(self, glyph: str) -> bool:
-        return glyph in self._ids
 
     def id_of(self, glyph: str) -> int:
         try:
@@ -289,13 +274,13 @@ def serialize_model(model: ContextModel) -> bytes:
 
 
 def parse_model(data: bytes) -> ContextModel:
-    """Inverse of `serialize_model`; raises a ModelFormatError subclass on bad input."""
+    """Inverse of `serialize_model`; raises ModelFormatError on bad input."""
     if len(data) < 4:
-        raise TruncatedModelError("model file shorter than its magic")
+        raise ModelFormatError("model file shorter than its magic")
     if data[:3] != _MAGIC:
-        raise BadMagicError("not a model file (bad magic)")
+        raise ModelFormatError("not a model file (bad magic)")
     if data[3:4] != _VERSION:
-        raise UnsupportedVersionError(f"unsupported model version {data[3:4]!r}")
+        raise ModelFormatError(f"unsupported model version {data[3:4]!r}")
     view = memoryview(data)
     try:  # every unpack raises struct.error when it would read past the end
         order, smoothing, n_glyphs = struct.unpack_from("<IdI", data, 4)
@@ -315,13 +300,13 @@ def parse_model(data: bytes) -> ContextModel:
             pos += head.size
             end = pos + _PAIR.size * n_row
             if end > size:  # a short slice would just unpack fewer pairs
-                raise TruncatedModelError("model file truncated")
+                raise ModelFormatError("model file truncated")
             row = table[ctx] = dict(pairs(view[pos:end]))
             pos = end
             if len(row) != n_row:
                 raise ModelFormatError(f"context {ctx} lists a symbol twice")
     except struct.error:
-        raise TruncatedModelError("model file truncated") from None
+        raise ModelFormatError("model file truncated") from None
     if len(table) != n_ctx:
         raise ModelFormatError("a context is listed twice")
     if pos != len(data):

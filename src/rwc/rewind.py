@@ -82,10 +82,6 @@ class DecodeTrace:
         return sum(map(ne, self.guesses, self.decoded))
 
     @property
-    def kept(self) -> int:
-        return len(self.decoded) - self.errors
-
-    @property
     def steps(self) -> tuple[StepOutcome, ...]:
         """Per-position outcomes, rebuilt on each access."""
         return tuple(map(StepOutcome, self.guesses, self.decoded))
@@ -170,9 +166,10 @@ class DecoderSession:
 
     next_guess() decodes one symbol (idempotently; the guess is pinned until
     revealed). reveal(truth) either commits the guess or rewinds the coder,
-    and always shifts the truth into the order-k context. The session's
-    state is that context and the coder, plus a position for error messages.
-    `plans` is as in `encode_document`.
+    and always shifts the truth into the order-k context. A truth outside the
+    alphabet is refused before anything is decoded, so a refused reveal
+    changes nothing. The session's state is that context and the coder, plus
+    a position for error messages. `plans` is as in `encode_document`.
     """
 
     def __init__(
@@ -184,7 +181,6 @@ class DecoderSession:
         lossless: bool = False,
         plans: _PlanCache | None = None,
     ):
-        self.model = model
         self._plans = _plans_for(model, params, lossless, plans)
         self._decoder = Decoder(hints.payload)
         self._ids = model.alphabet._ids
@@ -203,15 +199,14 @@ class DecoderSession:
     def reveal(self, truth: str) -> StepOutcome:
         # The whole step in one frame: this runs once per decoded position.
         truth_sym = self._ids.get(truth)  # an unhashable truth raises here, before any decode
+        if truth_sym is None:
+            raise UnknownCharacterError(truth, self._position)
         if self._pending is None:
             members, table, _ = self._plans[self._ctx]
             state = self._decoder.checkpoint()
             guess_sym = members[self._decoder.decode(table)]
         else:
             (guess_sym, state), self._pending = self._pending, None
-        if truth_sym is None:
-            self._pending = (guess_sym, state)  # the guess stays pinned for the next reveal
-            raise UnknownCharacterError(truth, self._position)
         if truth_sym != guess_sym:
             self._decoder.restore(state)
         self._ctx = (self._ctx + (truth_sym,))[1:]

@@ -89,9 +89,14 @@ class KeptSet:
         if len(self.renorm) != len(self.members):
             raise ValueError("renorm length mismatch")
         # The mass and the renorm sum each round by up to 2**-53 per member,
-        # so n members may leave the sum off by about n * 2**-52.
-        if abs(sum(self.renorm) - 1.0) > max(1e-12, len(self.members) * 2**-52):
+        # so n members may leave the sum off by about n * 2**-52. Each check
+        # is written so that a NaN fails it.
+        if not abs(sum(self.renorm) - 1.0) <= max(1e-12, len(self.members) * 2**-52):
             raise ValueError("renormalized probabilities must sum to 1")
+        if not min(self.renorm) > 0.0:  # after the sum check, no entry is NaN
+            raise ValueError("renormalized probabilities must be positive")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError(f"kept mass {self.mass!r} is not positive and finite")
 
 
 def _ranked(dist: Distribution) -> Iterator[int]:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import rwc.cli
 from rwc.cli import main
 from rwc.harness import (
     ACCEPTANCE_SEED,
@@ -19,7 +20,15 @@ from rwc.harness import (
     model_from_chain,
     two_state_chain,
 )
-from rwc.model import MAX_ORDER, Alphabet, ContextModel, parse_model, serialize_model
+from rwc.model import (
+    MAX_ORDER,
+    Alphabet,
+    ContextModel,
+    ModelFormatError,
+    UnknownCharacterError,
+    parse_model,
+    serialize_model,
+)
 from rwc.rewind import render_trace
 
 
@@ -219,6 +228,37 @@ class TestEncodeDecodeTrace:
         code, _, err = run(capsys, "encode", model, str(odd), str(tmp_path / "h"))
         assert code == 4
         assert "position 2" in err
+
+
+# Every exception class the package exports, one instance each, with the exit
+# code and its meaning as the cli module docstring lists them.
+EXIT_CODES = [
+    (ModelFormatError("not a model file (bad magic)"), 3, "malformed model file"),
+    (UnknownCharacterError("X", 2), 4, "character outside the model alphabet"),
+]
+
+
+def test_the_exit_code_table_lists_every_exported_error():
+    exported = {
+        obj
+        for obj in map(rwc.__dict__.get, rwc.__all__)
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    assert exported == {type(error) for error, _, _ in EXIT_CODES}
+
+
+@pytest.mark.parametrize(
+    "error, code, meaning", EXIT_CODES, ids=[type(error).__name__ for error, _, _ in EXIT_CODES]
+)
+def test_each_exported_error_exits_with_its_documented_code(monkeypatch, capsys, error, code, meaning):
+    def stub(args):
+        raise error
+
+    monkeypatch.setattr(rwc.cli, "cmd_alpha", stub)
+    assert f"{code} {meaning}" in " ".join(rwc.cli.__doc__.split())
+    got, out, err = run(capsys, "alpha")
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.endswith(f"{error}\n")
 
 
 class TestScoreEval:

@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 from rwc.model import (
     BOS,
     Alphabet,
-    BadMagicError,
     MAX_COUNT,
     MAX_ORDER,
     ContextModel,
     Distribution,
     ModelFormatError,
-    TruncatedModelError,
     UnknownCharacterError,
-    UnsupportedVersionError,
     build_alphabet,
     context_key,
     entropy,
@@ -39,10 +36,6 @@ class TestAlphabet:
         assert [a.id_of(g) for g in "ETA"] == [1, 2, 3]
         assert [a.glyph_of(i) for i in (1, 2, 3)] == ["E", "T", "A"]
         assert a.size == 4
-
-    def test_contains(self):
-        a = Alphabet(("E", "T"))
-        assert "E" in a and "X" not in a
 
     def test_sentinel_has_no_glyph(self):
         with pytest.raises(ValueError):
@@ -260,20 +253,20 @@ class TestModelFile:
             assert predict(m, hist).probs == predict(m2, hist).probs
 
     def test_bad_magic(self):
-        with pytest.raises(BadMagicError):
+        with pytest.raises(ModelFormatError, match=r"^not a model file \(bad magic\)$"):
             parse_model(b"XXXX" + b"\x00" * 40)
 
     def test_unsupported_version(self):
         data = bytearray(serialize_model(train("AB", 0, 0.0)))
         data[3:4] = b"1"
-        with pytest.raises(UnsupportedVersionError):
+        with pytest.raises(ModelFormatError, match=r"^unsupported model version b'1'$"):
             parse_model(bytes(data))
 
     def test_truncation(self):
         data = serialize_model(train("ABAB", 1, 0.0))
-        with pytest.raises(TruncatedModelError):
+        with pytest.raises(ModelFormatError, match="^model file truncated$"):
             parse_model(data[: len(data) - 3])
-        with pytest.raises(TruncatedModelError):
+        with pytest.raises(ModelFormatError, match="^model file shorter than its magic$"):
             parse_model(b"RW")
 
     def test_trailing_garbage_rejected(self):
@@ -355,7 +348,8 @@ class TestModelFileFormat:
     def test_every_cut_is_reported_as_truncation(self, order):
         blob = serialize_model(train("a\U0001f600b\u00e9a\U0001f600\U00010348ba", order, 0.5))
         for cut in range(len(blob)):
-            with pytest.raises(TruncatedModelError):
+            message = "model file shorter than its magic" if cut < 4 else "model file truncated"
+            with pytest.raises(ModelFormatError, match=f"^{message}$"):
                 parse_model(blob[:cut])
 
     @settings(max_examples=300)

@@ -232,6 +232,22 @@ class TestKeptSetValidation:
         with pytest.raises(ValueError, match="sum to 1"):
             KeptSet(members=(1, 2, 3), renorm=(0.5, 0.25, 0.25 + 1e-9), mass=1.0)
 
+    @pytest.mark.parametrize("renorm", [(math.nan,), (1.0, math.nan), (math.inf, -math.inf)])
+    def test_nan_sum_rejected(self, renorm):
+        # abs(nan - 1) > tol is False, so the check must be written to fail on NaN
+        with pytest.raises(ValueError, match="sum to 1"):
+            KeptSet(members=tuple(range(1, len(renorm) + 1)), renorm=renorm, mass=1.0)
+
+    @pytest.mark.parametrize("renorm", [(1.0, 0.0), (1.5, -0.5), (1.0, -0.0)])
+    def test_non_positive_entry_rejected(self, renorm):
+        with pytest.raises(ValueError, match="must be positive"):
+            KeptSet(members=(1, 2), renorm=renorm, mass=1.0)
+
+    @pytest.mark.parametrize("mass", [0.0, -0.5, math.nan, math.inf])
+    def test_mass_not_positive_and_finite_rejected(self, mass):
+        with pytest.raises(ValueError, match="positive and finite"):
+            KeptSet(members=(1,), renorm=(1.0,), mass=mass)
+
     def test_lossless_set_over_fifty_thousand_glyphs_accepted(self):
         # Rounding in the mass and renorm sums grows with the member count;
         # over 50,000 members it passes a fixed 1e-12 tolerance.
