@@ -15,7 +15,7 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import starmap
+from itertools import chain, starmap
 from typing import Sequence
 
 BOS = 0  # reserved begin-of-stream id; pads contexts, never occurs in text
@@ -55,11 +55,21 @@ class Alphabet:
     glyphs: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "glyphs", tuple(self.glyphs))
-        for g in self.glyphs:  # a surrogate is half of a UTF-16 pair, not text
-            if not isinstance(g, str) or len(g) != 1 or "\ud800" <= g <= "\udfff":
-                raise ValueError(f"glyph must be a single non-surrogate character, got {g!r}")
-        if len(set(self.glyphs)) != len(self.glyphs):
+        glyphs = tuple(self.glyphs)
+        object.__setattr__(self, "glyphs", glyphs)
+        # All glyphs at once, in C: strs whose join has one character each and
+        # encodes, so none is a surrogate (half of a UTF-16 pair, not text).
+        # Only when that fails are glyphs checked one by one, to name the first bad one.
+        try:
+            joined = "".join(glyphs)
+            joined.encode()
+        except (TypeError, UnicodeEncodeError):
+            joined = None
+        if joined is None or len(joined) != len(glyphs) or "" in glyphs:
+            for g in glyphs:
+                if not isinstance(g, str) or len(g) != 1 or "\ud800" <= g <= "\udfff":
+                    raise ValueError(f"glyph must be a single non-surrogate character, got {g!r}")
+        if len(set(glyphs)) != len(glyphs):
             raise ValueError("duplicate glyph in alphabet")
 
     @cached_property
@@ -166,25 +176,38 @@ class ContextModel:
             raise ValueError(f"order {k} is not in 0..{MAX_ORDER}")
         if not (self.smoothing >= 0 and math.isfinite(self.smoothing * (n - 1))):
             raise ValueError(f"smoothing {self.smoothing!r} is negative or has infinite mass")
-        if not self.counts:
+        counts = self.counts
+        if not counts:
             raise ValueError("empty count table")
-        for ctx, row in self.counts.items():
-            if len(ctx) != k or not all(0 <= s < n for s in ctx):
+        # Every context at once, in C: k ids each, all exact ints (no bool or
+        # float) in 0..n-1. Only when that fails are contexts checked one by
+        # one, so the first bad one is named.
+        ids_ok = (
+            k > 0
+            and set(map(len, counts)) == {k}
+            and set(map(type, chain.from_iterable(counts))) == {int}
+            and frozenset(range(n)).issuperset(chain.from_iterable(counts))
+        )
+        for ctx, row in counts.items():
+            if not ids_ok and (len(ctx) != k or not all(type(s) is int and 0 <= s < n for s in ctx)):
                 raise ValueError(f"context {ctx!r} is not {k} ids of the alphabet")
             if not row:
                 raise ValueError(f"context {ctx!r} has an empty row")
             for sym, c in row.items():
-                if not (0 < sym < n):
-                    raise ValueError(f"symbol id {sym} outside alphabet")
-                if type(c) is not int or not 1 <= c <= MAX_COUNT:
+                if not (type(sym) is int and 0 < sym < n and type(c) is int and 0 < c <= MAX_COUNT):
+                    if type(sym) is not int or not 0 < sym < n:
+                        raise ValueError(f"symbol id {sym} outside alphabet")
                     raise ValueError(f"count {c!r} is not an integer in 1..2**64-1")
-        self.tables = [{} for _ in range(k)] + [self.counts]
+        self.tables = [{} for _ in range(k)] + [counts]
         for j in range(k, 0, -1):
             lower = self.tables[j - 1]
             for ctx, row in self.tables[j].items():
-                bucket = lower.setdefault(ctx[1:], {})
-                for sym, c in row.items():
-                    bucket[sym] = bucket.get(sym, 0) + c
+                bucket = lower.get(ctx[1:])
+                if bucket is None:  # a copy: a derived row never aliases an upper one
+                    lower[ctx[1:]] = row.copy()
+                else:
+                    for sym, c in row.items():
+                        bucket[sym] = bucket.get(sym, 0) + c
 
 
 def context_key(order: int, history: Sequence[int]) -> tuple[int, ...]:

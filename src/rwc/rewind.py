@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import ne
 from typing import NamedTuple
 
-from .coder import Decoder, Encoder, FrequencyTable, quantize
+from .coder import TOTAL, Decoder, Encoder, FrequencyTable, quantize
 from .model import ContextModel, UnknownCharacterError, context_key, predict
 from .selector import SelectorParams, full_support, select_kept
 
@@ -87,6 +87,9 @@ class DecodeTrace:
         return tuple(map(StepOutcome, self.guesses, self.decoded))
 
 
+_CERTAIN = FrequencyTable((0, TOTAL))  # the table of every one-member kept set
+
+
 class _PlanCache(dict):
     """Order-k context -> plan, built on the first lookup of the context.
 
@@ -110,8 +113,9 @@ class _PlanCache(dict):
     ) -> tuple[tuple[int, ...], FrequencyTable, dict[int, int]]:
         dist = predict(self.model, ctx)
         kept = full_support(dist) if self.lossless else select_kept(dist, self.params)
-        table = FrequencyTable.from_freqs(quantize(kept.renorm))
         members = kept.members
+        # A one-member renorm is (1.0,), which quantizes to the one shared table.
+        table = FrequencyTable.from_freqs(quantize(kept.renorm)) if len(members) > 1 else _CERTAIN
         plan = self[ctx] = (members, table, {sym: i for i, sym in enumerate(members)})
         return plan
 

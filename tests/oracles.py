@@ -3,7 +3,9 @@
 `dense` builds a `Distribution` by hand from a probability list indexed by
 id. `brute_force_kept` is the exhaustive selection oracle, `validate` checks
 that a distribution is a probability distribution, and `uniform_byte_model`
-is the order-0 model of uniformly random bytes.
+is the order-0 model of uniformly random bytes. `oracle_glyph_fault` and
+`oracle_tables` check glyphs and a count table entry by entry, as
+`Alphabet` and `ContextModel` did before they checked in bulk.
 """
 
 import math
@@ -11,7 +13,7 @@ from functools import reduce
 from operator import add
 
 from rwc.harness import ChainSource, model_from_chain
-from rwc.model import ContextModel, Distribution
+from rwc.model import MAX_COUNT, ContextModel, Distribution
 from rwc.selector import KeptSet, subset_cost
 
 
@@ -56,3 +58,45 @@ def brute_force_kept(dist: Distribution) -> KeptSet:
 def uniform_byte_model() -> ContextModel:
     """Order-0 uniform model over all 256 byte values (as latin-1 glyphs)."""
     return model_from_chain(ChainSource.iid([chr(b) for b in range(256)], [1 / 256] * 256), 256)
+
+
+def oracle_glyph_fault(glyphs) -> str | None:
+    """The message `Alphabet` raises for `glyphs`, or None if it accepts
+    them: each glyph checked on its own, then the whole tuple for repeats."""
+    for g in glyphs:
+        if not isinstance(g, str) or len(g) != 1 or "\ud800" <= g <= "\udfff":
+            return f"glyph must be a single non-surrogate character, got {g!r}"
+    if len(set(glyphs)) != len(glyphs):
+        return "duplicate glyph in alphabet"
+    return None
+
+
+def oracle_tables(n: int, k: int, counts: dict) -> list[dict]:
+    """The order-k count table's check and its derived tables, per entry.
+
+    Each context is checked on its own: k exact-int ids in 0..n-1, then a
+    non-empty row of exact-int symbols in 1..n-1 with exact-int counts in
+    1..MAX_COUNT. Raises ValueError with the constructor's message at the
+    first fault, in table order. Each lower row is built up from an empty
+    dict with `setdefault`, so no derived row is an upper one.
+    """
+    if not counts:
+        raise ValueError("empty count table")
+    for ctx, row in counts.items():
+        if len(ctx) != k or not all(type(s) is int and 0 <= s < n for s in ctx):
+            raise ValueError(f"context {ctx!r} is not {k} ids of the alphabet")
+        if not row:
+            raise ValueError(f"context {ctx!r} has an empty row")
+        for sym, c in row.items():
+            if type(sym) is not int or not 0 < sym < n:
+                raise ValueError(f"symbol id {sym} outside alphabet")
+            if type(c) is not int or not 1 <= c <= MAX_COUNT:
+                raise ValueError(f"count {c!r} is not an integer in 1..2**64-1")
+    tables = [{} for _ in range(k)] + [counts]
+    for j in range(k, 0, -1):
+        lower = tables[j - 1]
+        for ctx, row in tables[j].items():
+            bucket = lower.setdefault(ctx[1:], {})
+            for sym, c in row.items():
+                bucket[sym] = bucket.get(sym, 0) + c
+    return tables

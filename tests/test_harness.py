@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -29,6 +30,7 @@ from rwc.model import (
     train,
 )
 from rwc.rewind import encode_document, run_trace
+from rwc.selector import SelectorParams, full_support, select_kept
 
 from oracles import uniform_byte_model
 
@@ -57,11 +59,15 @@ def count_plan_stages(monkeypatch) -> Counter:
 
 
 def stage_counts(model, text, lossless) -> dict[str, int]:
-    """One call of each plan stage per distinct context of `text`."""
+    """One `predict` and one selection per distinct context of `text`, and
+    one `quantize` and `from_freqs` per such context whose kept set has more
+    than one member; a one-member set takes the one shared table."""
     syms = model.alphabet.encode(text)
     contexts = {context_key(model.order, syms[:i]) for i in range(len(syms))}
     select = "full_support" if lossless else "select_kept"
-    return {name: len(contexts) for name in ("predict", select, "quantize", "from_freqs")}
+    choose = full_support if lossless else partial(select_kept, params=SelectorParams.default())
+    multi = sum(len(choose(predict(model, ctx)).members) > 1 for ctx in contexts)
+    return {"predict": len(contexts), select: len(contexts), "quantize": multi, "from_freqs": multi}
 
 
 @st.composite

@@ -1,8 +1,9 @@
+import copy
 import math
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rwc.model import (
@@ -24,7 +25,7 @@ from rwc.model import (
     train,
 )
 
-from oracles import dense, validate
+from oracles import dense, oracle_glyph_fault, oracle_tables, validate
 
 
 class TestAlphabet:
@@ -52,6 +53,32 @@ class TestAlphabet:
         # half of a UTF-16 pair is not text, and no model file may hold one
         with pytest.raises(ValueError, match="surrogate"):
             Alphabet(("E", glyph))
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.one_of(
+                st.characters(),
+                st.text(max_size=2),
+                st.sampled_from(["\ud800", "\udfff", 7, None, b"a"]),
+            ),
+            max_size=6,
+        )
+    )
+    @example(["a", "", "\ud800"])
+    @example(["a", "\udc80", "bc"])
+    @example(["a", "bc", 7])
+    @example(["ab", "\ud800"])
+    @example(["ab", ""])
+    def test_refuses_as_the_per_glyph_oracle(self, glyphs):
+        # Glyphs are checked in bulk; a fault must still name the first bad glyph.
+        expected = oracle_glyph_fault(glyphs)
+        if expected is None:
+            assert Alphabet(glyphs).glyphs == tuple(glyphs)
+        else:
+            with pytest.raises(ValueError) as got:
+                Alphabet(glyphs)
+            assert str(got.value) == expected
 
     def test_train_refuses_a_surrogate_in_the_corpus(self):
         with pytest.raises(ValueError, match="surrogate"):
@@ -396,6 +423,14 @@ class TestValidation:
             pytest.param(0, {(): {1: 2.0}}, id="integral float count"),
             pytest.param(0, {(): {1: True}}, id="bool count"),
             pytest.param(0, {(): {1: 2**64}}, id="count past u64"),
+            pytest.param(1, {(1.5,): {1: 1}}, id="fractional context id"),
+            pytest.param(1, {(1.0,): {1: 1}}, id="integral float context id"),
+            pytest.param(1, {("a",): {1: 1}}, id="str context id"),
+            pytest.param(1, {(True,): {1: 1}}, id="bool context id"),
+            pytest.param(0, {(): {1.0: 1}}, id="float symbol"),
+            pytest.param(0, {(): {"a": 1}}, id="str symbol"),
+            pytest.param(0, {(): {None: 1}}, id="None symbol"),
+            pytest.param(0, {(): {True: 1}}, id="bool symbol"),
         ],
     )
     def test_bad_counts_rejected(self, order, counts):
@@ -426,6 +461,112 @@ class TestValidation:
         counts = {(1,) * MAX_ORDER: {1: 2**64 - 1}}
         m = ContextModel(Alphabet(("X",)), MAX_ORDER, 0.0, counts)
         assert parse_model(serialize_model(m)) == m
+
+
+def in_order(tables):
+    """Every table as its (context, row items) list, so that equal tables
+    must also list their contexts and each row's symbols in the same order."""
+    return [[(ctx, list(row.items())) for ctx, row in t.items()] for t in tables]
+
+
+def distinct_rows(tables) -> bool:
+    rows = [row for t in tables for row in t.values()]
+    return len(set(map(id, rows))) == len(rows)
+
+
+# One fault per table, or None for a valid one. An id fault lands in a
+# context or in a row, a count fault in a row.
+FAULTS = (
+    None, "length", "negative id", "id past alphabet", "fractional id", "float id", "str id",
+    "bool id", "sentinel symbol", "empty row", "zero count", "negative count", "float count",
+    "bool count", "count past u64",
+)
+BAD_IDS = {
+    "negative id": -1, "fractional id": 1.5, "float id": 1.0, "str id": "a", "bool id": True,
+}
+BAD_COUNTS = {
+    "zero count": 0, "negative count": -1, "float count": 2.0, "bool count": True,
+    "count past u64": MAX_COUNT + 1,
+}
+
+
+@st.composite
+def count_tables(draw):
+    """(alphabet size, order, order-k count table), the table valid or with
+    one drawn fault injected into one drawn entry."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(0, 4))
+    rows = st.dictionaries(st.integers(1, n - 1), st.integers(1, MAX_COUNT), min_size=1, max_size=4)
+    ctxs = st.tuples(*[st.integers(0, n - 1)] * k)
+    entries = draw(st.lists(st.tuples(ctxs, rows), min_size=1, max_size=8))
+    fault = draw(st.sampled_from(FAULTS))
+    at = draw(st.integers(0, len(entries) - 1))
+    ctx, row = entries[at]
+    if fault == "length":
+        ctx = ctx[:-1] if k and draw(st.booleans()) else ctx + (1,)
+    elif fault in (bad_ids := {**BAD_IDS, "id past alphabet": n, "sentinel symbol": 0}):
+        if k and fault != "sentinel symbol" and draw(st.booleans()):
+            i = draw(st.integers(0, k - 1))
+            ctx = ctx[:i] + (bad_ids[fault],) + ctx[i + 1 :]
+        else:
+            old = draw(st.sampled_from(sorted(row)))
+            row = {bad_ids[fault] if sym == old else sym: c for sym, c in row.items()}
+    elif fault == "empty row":
+        row = {}
+    elif fault in BAD_COUNTS:
+        old = draw(st.sampled_from(sorted(row)))
+        row = {sym: BAD_COUNTS[fault] if sym == old else c for sym, c in row.items()}
+    entries[at] = (ctx, row)
+    return n, k, dict(entries)
+
+
+class TestBulkValidation:
+    """The constructor checks contexts in bulk and copies each row it derives
+    first; `oracle_tables` checks every entry on its own and builds every
+    derived row up from an empty dict."""
+
+    @settings(max_examples=500)
+    @given(count_tables())
+    def test_accepts_and_refuses_as_the_per_entry_oracle(self, case):
+        n, k, counts = case
+        before = repr(counts)
+        alphabet = Alphabet(tuple("ABCDE"[: n - 1]))
+        try:
+            expected = oracle_tables(n, k, copy.deepcopy(counts))
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                ContextModel(alphabet, k, 0.5, counts)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+        else:
+            m = ContextModel(alphabet, k, 0.5, counts)
+            assert m.tables[k] is counts
+            assert in_order(m.tables) == in_order(expected)
+            assert distinct_rows(m.tables)
+        assert repr(counts) == before
+
+    def test_construction_leaves_counts_alone_and_copies_every_derived_row(self):
+        # (1, 2) and (2, 2) both back off to (2,), and (2, 1) alone backs off
+        # to (1,): the order-1 row (2,) is a merge and (1,) a copy.
+        counts = {(1, 2): {1: 2, 2: 1}, (2, 2): {2: 3}, (2, 1): {2: 1}}
+        before = copy.deepcopy(counts)
+        m = ContextModel(Alphabet(("X", "Y")), 2, 0.0, counts)
+        assert counts == before
+        assert m.tables[1] == {(2,): {1: 2, 2: 4}, (1,): {2: 1}}
+        assert m.tables[0] == {(): {1: 2, 2: 5}}
+        assert distinct_rows(m.tables)
+        m.tables[1][(1,)][2] += 1  # a copy: the order-2 row it came from stays as it was
+        assert counts == before
+
+    @settings(max_examples=200)
+    @given(models())
+    def test_a_parsed_model_derives_the_oracle_tables(self, m):
+        parsed = parse_model(serialize_model(m))
+        assert parsed == m
+        assert parsed.tables == m.tables
+        assert in_order(parsed.tables) == in_order(
+            oracle_tables(m.alphabet.size, m.order, parsed.counts)
+        )
 
 
 def per_order_tables(corpus, order, alphabet):

@@ -40,6 +40,7 @@ from rwc.model import (
     predict,
     train,
 )
+from rwc.rewind import _PlanCache
 from rwc.selector import KeptSet, SelectorParams, full_support, select_kept
 
 from oracles import dense
@@ -213,6 +214,23 @@ def test_random_models_plan_identically(model, data, lossless):
         assert_same_plan(model, history, lossless)
     for ctx in model.counts:
         assert_same_plan(model, list(ctx), lossless)
+
+
+@settings(max_examples=300)
+@given(models(), st.data(), st.booleans())
+def test_cached_plans_equal_the_oracle_plans(model, data, lossless):
+    """The plan cache quantizes only kept sets of two or more members. A
+    one-member set takes its one shared table, which must be the table that
+    quantizing its renorm (1.0,) gives."""
+    plans = _PlanCache(model, PARAMS, lossless)
+    histories = [list(ctx) for ctx in model.counts]
+    histories += [data.draw(st.lists(st.integers(1, model.alphabet.size - 1), max_size=4))]
+    for history in histories:
+        members, table, index_of = plans[context_key(model.order, history)]
+        kept, want = plan(oracle_predict(model, history), lossless, oracle_select_kept,
+                          oracle_full_support, oracle_quantize, oracle_from_freqs)
+        assert (members, table.cum) == (kept.members, want.cum)
+        assert index_of == {sym: i for i, sym in enumerate(members)}
 
 
 def test_counts_past_two_to_the_53_divide_exactly():
