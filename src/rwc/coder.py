@@ -185,12 +185,15 @@ class Decoder:
         self.low, self.high, self.code, self.bits_read = state
 
     def decode(self, table: FrequencyTable) -> int:
+        cum = table.cum
+        if len(cum) == 2:  # (0, TOTAL) maps the interval onto itself: nothing moves
+            return 0
         low, code, i = self.low, self.code, self.bits_read
         rng = self.high - low + 1
         value = ((code - low + 1) * TOTAL - 1) // rng
-        index = bisect_right(table.cum, value) - 1
-        high = low + (rng * table.cum[index + 1]) // TOTAL - 1
-        low += (rng * table.cum[index]) // TOTAL
+        index = bisect_right(cum, value) - 1
+        high = low + (rng * cum[index + 1]) // TOTAL - 1
+        low += (rng * cum[index]) // TOTAL
         if low ^ high < QUARTER:
             # code shares the s >= 2 settled top bits; s new ones replace them
             t = (low ^ high).bit_length()

@@ -179,17 +179,22 @@ class ContextModel:
         counts = self.counts
         if not counts:
             raise ValueError("empty count table")
-        # Every context at once, in C: k ids each, all exact ints (no bool or
-        # float) in 0..n-1. Only when that fails are contexts checked one by
-        # one, so the first bad one is named.
+        # Every context at once, in C: a tuple (bytes would iterate as ints) of
+        # k ids, all exact ints (no bool or float) in 0..n-1. Only when that
+        # fails are contexts checked one by one, so the first bad one is named.
         ids_ok = (
             k > 0
+            and set(map(type, counts)) == {tuple}
             and set(map(len, counts)) == {k}
             and set(map(type, chain.from_iterable(counts))) == {int}
             and frozenset(range(n)).issuperset(chain.from_iterable(counts))
         )
         for ctx, row in counts.items():
-            if not ids_ok and (len(ctx) != k or not all(type(s) is int and 0 <= s < n for s in ctx)):
+            if not ids_ok and (
+                type(ctx) is not tuple
+                or len(ctx) != k
+                or not all(type(s) is int and 0 <= s < n for s in ctx)
+            ):
                 raise ValueError(f"context {ctx!r} is not {k} ids of the alphabet")
             if not row:
                 raise ValueError(f"context {ctx!r} has an empty row")
@@ -259,12 +264,13 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
     floor that every unseen id gets (beta/total, or 0 without smoothing), so
     only those that do are kept, in the returned distribution's `row`.
     """
-    n = model.alphabet.size
-    key = context_key(model.order, history)
-    for j in range(model.order, -1, -1):
-        counts = model.tables[j].get(key[model.order - j :])
-        if counts:
-            break
+    n, j, tables = model.alphabet.size, model.order, model.tables
+    key = context_key(j, history)
+    counts = tables[j].get(key)
+    while counts is None:  # back off: drop the oldest id; rows are never empty
+        j -= 1
+        key = key[1:]
+        counts = tables[j].get(key)
     beta = model.smoothing or 0  # int 0 keeps c / total exact; c + 0.0 rounds past 2**53
     total = sum(counts.values()) + beta * (n - 1)
     floor = beta / total

@@ -99,7 +99,9 @@ class _PlanCache(dict):
     kept sets agree at every position by construction. Contexts repeat
     constantly, so after its first lookup a plan is one dict entry. One
     cache may serve an encode and a decode walk of the same text, which then
-    builds each plan once.
+    builds each plan once. Kept sets with equal renormalized probabilities
+    share one frequency table, so each distinct renorm is quantized once per
+    cache; every one-member set's renorm is (1.0,), whose table is seeded.
     """
 
     def __init__(self, model: ContextModel, params: SelectorParams, lossless: bool):
@@ -107,15 +109,17 @@ class _PlanCache(dict):
         self.model = model
         self.params = params
         self.lossless = lossless
+        self._tables: dict[tuple[float, ...], FrequencyTable] = {(1.0,): _CERTAIN}
 
     def __missing__(
         self, ctx: tuple[int, ...]
     ) -> tuple[tuple[int, ...], FrequencyTable, dict[int, int]]:
         dist = predict(self.model, ctx)
         kept = full_support(dist) if self.lossless else select_kept(dist, self.params)
-        members = kept.members
-        # A one-member renorm is (1.0,), which quantizes to the one shared table.
-        table = FrequencyTable.from_freqs(quantize(kept.renorm)) if len(members) > 1 else _CERTAIN
+        members, renorm = kept.members, kept.renorm
+        table = self._tables.get(renorm)
+        if table is None:
+            table = self._tables[renorm] = FrequencyTable.from_freqs(quantize(renorm))
         plan = self[ctx] = (members, table, {sym: i for i, sym in enumerate(members)})
         return plan
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator
+from itertools import filterfalse
+from typing import Iterable
 
 from .model import Distribution
 
@@ -99,19 +99,21 @@ class KeptSet:
             raise ValueError(f"kept mass {self.mass!r} is not positive and finite")
 
 
-def _ranked(dist: Distribution) -> Iterator[int]:
-    """Positive-probability ids, highest first, tied ids ascending.
+def _ranked(dist: Distribution) -> tuple[list[int], Iterable[int]]:
+    """Positive-probability ids, highest first, tied ids ascending, in two parts.
 
-    Ranks the row, then, when the floor is positive, yields lazily and in
-    ascending order the ids 1..size-1 outside it. Those all share the floor
-    probability, which is below every row entry, so this is the order a
-    stable sort of every id by probability gives.
+    The first part ranks the row. The second, when the floor is positive,
+    yields lazily and in ascending order the ids 1..size-1 outside the row.
+    Those all share the floor probability, which is below every row entry,
+    so the parts in turn are the order a stable sort of every id by
+    probability gives.
     """
     row = dist.row
     ranked = sorted(row)
-    ranked.sort(key=row.__getitem__, reverse=True)  # stable: tied ids stay ascending
-    rest = range(1, dist.size) if dist.floor > 0.0 else ()
-    return chain(ranked, (i for i in rest if i not in row))
+    if len(ranked) > 1:
+        ranked.sort(key=row.__getitem__, reverse=True)  # stable: tied ids stay ascending
+    tail = filterfalse(row.__contains__, range(1, dist.size)) if dist.floor > 0.0 else ()
+    return ranked, tail
 
 
 def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
@@ -123,17 +125,23 @@ def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
     symbols are never kept. The mass is summed left to right in kept order,
     so the plan does not depend on how the interpreter's sum() rounds.
     """
-    prob, floor = dist.row.get, dist.floor
+    row, floor, alpha = dist.row, dist.floor, params.alpha
+    ranked, tail = _ranked(dist)
     members, mass = [], 0.0
-    for i in _ranked(dist):  # alpha * 0.0 is 0 or NaN, so the first ranked id is kept
-        p = prob(i, floor)
-        if p < params.alpha * mass:
+    for i in ranked:  # alpha * 0.0 is 0 or NaN, so the first ranked id is kept
+        p = row[i]
+        if p < alpha * mass:
             break
         members.append(i)
         mass += p
+    else:  # the whole row is kept, so the ids at the floor follow while they clear alpha
+        tail = iter(tail)
+        while not floor < alpha * mass and (i := next(tail, 0)):  # ids are >= 1
+            members.append(i)
+            mass += floor
     if not members:
         raise ValueError("distribution has empty support")
-    return KeptSet(tuple(members), tuple([prob(i, floor) / mass for i in members]), mass)
+    return KeptSet(tuple(members), tuple([row.get(i, floor) / mass for i in members]), mass)
 
 
 # Every positive probability clears 0 times the kept mass.

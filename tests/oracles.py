@@ -74,7 +74,7 @@ def oracle_glyph_fault(glyphs) -> str | None:
 def oracle_tables(n: int, k: int, counts: dict) -> list[dict]:
     """The order-k count table's check and its derived tables, per entry.
 
-    Each context is checked on its own: k exact-int ids in 0..n-1, then a
+    Each context is checked on its own: a tuple of k exact-int ids in 0..n-1, then a
     non-empty row of exact-int symbols in 1..n-1 with exact-int counts in
     1..MAX_COUNT. Raises ValueError with the constructor's message at the
     first fault, in table order. Each lower row is built up from an empty
@@ -83,7 +83,7 @@ def oracle_tables(n: int, k: int, counts: dict) -> list[dict]:
     if not counts:
         raise ValueError("empty count table")
     for ctx, row in counts.items():
-        if len(ctx) != k or not all(type(s) is int and 0 <= s < n for s in ctx):
+        if type(ctx) is not tuple or len(ctx) != k or not all(type(s) is int and 0 <= s < n for s in ctx):
             raise ValueError(f"context {ctx!r} is not {k} ids of the alphabet")
         if not row:
             raise ValueError(f"context {ctx!r} has an empty row")

@@ -60,14 +60,16 @@ def count_plan_stages(monkeypatch) -> Counter:
 
 def stage_counts(model, text, lossless) -> dict[str, int]:
     """One `predict` and one selection per distinct context of `text`, and
-    one `quantize` and `from_freqs` per such context whose kept set has more
-    than one member; a one-member set takes the one shared table."""
+    one `quantize` and `from_freqs` per distinct renorm of those contexts'
+    kept sets that have more than one member; kept sets with equal renorms
+    share a table, and a one-member set takes the one seeded table."""
     syms = model.alphabet.encode(text)
     contexts = {context_key(model.order, syms[:i]) for i in range(len(syms))}
     select = "full_support" if lossless else "select_kept"
     choose = full_support if lossless else partial(select_kept, params=SelectorParams.default())
-    multi = sum(len(choose(predict(model, ctx)).members) > 1 for ctx in contexts)
-    return {"predict": len(contexts), select: len(contexts), "quantize": multi, "from_freqs": multi}
+    kept = [choose(predict(model, ctx)) for ctx in contexts]
+    tables = len({k.renorm for k in kept if len(k.renorm) > 1})
+    return {"predict": len(contexts), select: len(contexts), "quantize": tables, "from_freqs": tables}
 
 
 @st.composite

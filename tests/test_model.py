@@ -438,6 +438,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             ContextModel(a, order, 0.0, counts)
 
+    @pytest.mark.parametrize(
+        "order, counts, bad",
+        [
+            pytest.param(0, {"": {1: 1}}, "", id="empty str at order 0"),
+            pytest.param(0, {(): {1: 1}, b"": {2: 1}}, b"", id="empty bytes beside ()"),
+            pytest.param(1, {b"\x01": {1: 1}, (0,): {2: 1}}, b"\x01", id="bytes beside a tuple"),
+            pytest.param(2, {(0, 1): {1: 1}, b"\x00\x02": {2: 1}}, b"\x00\x02", id="bytes of k ids"),
+        ],
+    )
+    def test_a_context_that_is_not_a_tuple_is_refused(self, order, counts, bad):
+        # Each of these has the length of a context and, for bytes, ids of the
+        # alphabet; `predict` looks rows up by tuple, so it would never find it.
+        with pytest.raises(ValueError) as got:
+            ContextModel(Alphabet(("X", "Y")), order, 0.0, counts)
+        assert str(got.value) == f"context {bad!r} is not {order} ids of the alphabet"
+
     @pytest.mark.parametrize("beta", [-0.5, math.nan, math.inf, 1e308])
     def test_smoothing_must_be_nonnegative_with_finite_mass(self, beta):
         # 1e308 is finite, but its mass over the 3 symbols overflows.
@@ -479,7 +495,7 @@ def distinct_rows(tables) -> bool:
 FAULTS = (
     None, "length", "negative id", "id past alphabet", "fractional id", "float id", "str id",
     "bool id", "sentinel symbol", "empty row", "zero count", "negative count", "float count",
-    "bool count", "count past u64",
+    "bool count", "count past u64", "not a tuple",
 )
 BAD_IDS = {
     "negative id": -1, "fractional id": 1.5, "float id": 1.0, "str id": "a", "bool id": True,
@@ -504,6 +520,8 @@ def count_tables(draw):
     ctx, row = entries[at]
     if fault == "length":
         ctx = ctx[:-1] if k and draw(st.booleans()) else ctx + (1,)
+    elif fault == "not a tuple":  # bytes iterate as their ids; "" has length 0
+        ctx = bytes(ctx) if draw(st.booleans()) else "".join(map(chr, ctx))
     elif fault in (bad_ids := {**BAD_IDS, "id past alphabet": n, "sentinel symbol": 0}):
         if k and fault != "sentinel symbol" and draw(st.booleans()):
             i = draw(st.integers(0, k - 1))

@@ -40,7 +40,7 @@ from rwc.model import (
     predict,
     train,
 )
-from rwc.rewind import _PlanCache
+from rwc.rewind import _CERTAIN, _PlanCache
 from rwc.selector import KeptSet, SelectorParams, full_support, select_kept
 
 from oracles import dense
@@ -219,9 +219,9 @@ def test_random_models_plan_identically(model, data, lossless):
 @settings(max_examples=300)
 @given(models(), st.data(), st.booleans())
 def test_cached_plans_equal_the_oracle_plans(model, data, lossless):
-    """The plan cache quantizes only kept sets of two or more members. A
-    one-member set takes its one shared table, which must be the table that
-    quantizing its renorm (1.0,) gives."""
+    """The plan cache quantizes each distinct renorm once, and seeds the
+    table of (1.0,), the renorm of every one-member set. That seeded table
+    must be the one that quantizing (1.0,) gives."""
     plans = _PlanCache(model, PARAMS, lossless)
     histories = [list(ctx) for ctx in model.counts]
     histories += [data.draw(st.lists(st.integers(1, model.alphabet.size - 1), max_size=4))]
@@ -231,6 +231,45 @@ def test_cached_plans_equal_the_oracle_plans(model, data, lossless):
                           oracle_full_support, oracle_quantize, oracle_from_freqs)
         assert (members, table.cum) == (kept.members, want.cum)
         assert index_of == {sym: i for i, sym in enumerate(members)}
+
+
+def assert_one_table_per_renorm(model, histories, lossless):
+    """Within one cache, two plans hold the same `FrequencyTable` object
+    exactly when the oracle's kept sets for them have equal renorms, and
+    every one-member plan holds the seeded `_CERTAIN`."""
+    plans = _PlanCache(model, PARAMS, lossless)
+    seen = []
+    for history in histories:
+        members, table, _ = plans[context_key(model.order, history)]
+        kept, _ = plan(oracle_predict(model, history), lossless, oracle_select_kept,
+                       oracle_full_support, oracle_quantize, oracle_from_freqs)
+        assert len(members) > 1 or table is _CERTAIN
+        seen.append((kept.renorm, table))
+    for renorm, table in seen:
+        assert [t is table for _, t in seen] == [r == renorm for r, _ in seen]
+
+
+@settings(max_examples=300)
+@given(models(), st.data(), st.booleans())
+def test_plans_share_a_table_exactly_when_their_renorms_are_equal(model, data, lossless):
+    histories = [list(ctx) for ctx in model.counts]
+    histories += [data.draw(st.lists(st.integers(1, model.alphabet.size - 1), max_size=4))]
+    assert_one_table_per_renorm(model, histories, lossless)
+
+
+# (1,) and (2,) keep the same members with other renorms; (1,) and (3,) keep
+# other members with the same renorm; (0,) keeps one member.
+SHARED_RENORMS = ContextModel(Alphabet(("A", "B", "C")), 1, 0.0, {
+    (1,): {1: 1, 2: 1}, (2,): {1: 2, 2: 1}, (3,): {3: 1, 1: 1}, (0,): {2: 5},
+})
+
+
+@pytest.mark.parametrize("lossless", [False, True])
+def test_equal_renorms_share_a_table_and_equal_members_need_not(lossless):
+    assert_one_table_per_renorm(SHARED_RENORMS, [[1], [2], [3], [0], [1]], lossless)
+    plans = _PlanCache(SHARED_RENORMS, PARAMS, lossless)
+    assert plans[(1,)][0] == plans[(2,)][0] and plans[(1,)][1] is not plans[(2,)][1]
+    assert plans[(1,)][0] != plans[(3,)][0] and plans[(1,)][1] is plans[(3,)][1]
 
 
 def test_counts_past_two_to_the_53_divide_exactly():
