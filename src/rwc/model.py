@@ -90,6 +90,8 @@ class Alphabet:
     def glyph_of(self, sym: int) -> str:
         if sym == BOS:
             raise ValueError("the begin-of-stream sentinel has no glyph")
+        if not 0 < sym <= len(self.glyphs):
+            raise ValueError(f"symbol id {sym} outside alphabet")
         return self.glyphs[sym - 1]
 
     def encode(self, text: str) -> list[int]:

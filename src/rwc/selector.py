@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .model import Distribution
 
@@ -74,29 +74,13 @@ class SelectorParams:
         return cls(alpha=solve_alpha())
 
 
-@dataclass(frozen=True)
-class KeptSet:
+class KeptSet(NamedTuple):
     """A kept subset: member ids in kept order, their renormalized probabilities,
     and the total mass p(S) they cover."""
 
     members: tuple[int, ...]
     renorm: tuple[float, ...]
     mass: float
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("kept set cannot be empty")
-        if len(self.renorm) != len(self.members):
-            raise ValueError("renorm length mismatch")
-        # The mass and the renorm sum each round by up to 2**-53 per member,
-        # so n members may leave the sum off by about n * 2**-52. Each check
-        # is written so that a NaN fails it.
-        if not abs(sum(self.renorm) - 1.0) <= max(1e-12, len(self.members) * 2**-52):
-            raise ValueError("renormalized probabilities must sum to 1")
-        if not min(self.renorm) > 0.0:  # after the sum check, no entry is NaN
-            raise ValueError("renormalized probabilities must be positive")
-        if not 0.0 < self.mass < math.inf:
-            raise ValueError(f"kept mass {self.mass!r} is not positive and finite")
 
 
 def _ranked(dist: Distribution) -> tuple[list[int], Iterable[int]]:
@@ -124,6 +108,12 @@ def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
     probability is >= alpha times the mass kept so far. Zero-probability
     symbols are never kept. The mass is summed left to right in kept order,
     so the plan does not depend on how the interpreter's sum() rounds.
+
+    `dist` is a `Distribution` as `predict` builds it: finite row entries
+    above a floor >= 0. On it the kept set is non-empty, its renorm entries
+    are positive and sum to 1, and its mass is positive and finite, all by
+    construction, so none of that is checked here. A hand-built distribution
+    with a NaN or an infinity may give a NaN renorm, which `quantize` refuses.
     """
     row, floor, alpha = dist.row, dist.floor, params.alpha
     ranked, tail = _ranked(dist)
@@ -159,10 +149,15 @@ def subset_cost(dist: Distribution, members: Iterable[int]) -> float:
     Hint bits are charged at 2/8 per bit (doubled bytes): each kept character
     i costs log2(p(S)/p(i)) bits and occurs with probability p(i). A character
     outside S costs one wrong guess: total 1 - p(S). The empty set costs 1.
+    Members must be distinct ids of positive probability, or ValueError.
     """
     probs = dist.probs
     members = tuple(members)
+    if len(set(members)) != len(members):
+        raise ValueError("a member is repeated")
     for i in members:
+        if not 0 < i < dist.size:
+            raise ValueError(f"symbol id {i} outside alphabet")
         if probs[i] <= 0.0:
             raise ValueError(f"symbol {i} has zero probability")
     mass = sum(probs[i] for i in members)

@@ -1,7 +1,10 @@
 """Test-local helpers and oracles that the package itself does not need.
 
 `dense` builds a `Distribution` by hand from a probability list indexed by
-id. `brute_force_kept` is the exhaustive selection oracle, `validate` checks
+id. `make_kept` builds a kept set from its members as the oracles do, and
+`check_kept` checks the invariants that every kept set `select_kept` builds,
+at any threshold in `ALPHA_VALUES`, holds by construction.
+`brute_force_kept` is the exhaustive selection oracle, `validate` checks
 that a distribution is a probability distribution, and `uniform_byte_model`
 is the order-0 model of uniformly random bytes. `oracle_glyph_fault` and
 `oracle_tables` check glyphs and a count table entry by entry, as
@@ -14,7 +17,11 @@ from operator import add
 
 from rwc.harness import ChainSource, model_from_chain
 from rwc.model import MAX_COUNT, ContextModel, Distribution
-from rwc.selector import KeptSet, subset_cost
+from rwc.selector import KeptSet, solve_alpha, subset_cost
+
+# Thresholds a selection is tried at: the objective's, the lossless 0, and
+# values no caller passes, each of which must still give a well-formed kept set.
+ALPHA_VALUES = (solve_alpha(), 0.0, 0.5, 1.0, math.inf, math.nan, -1.0)
 
 
 def dense(probs) -> Distribution:
@@ -28,6 +35,33 @@ def validate(dist: Distribution, tol: float = 1e-9) -> None:
         raise ValueError("negative probability")
     if abs(sum(dist.probs) - 1.0) > tol:
         raise ValueError(f"probabilities sum to {sum(dist.probs)!r}, not 1")
+
+
+def make_kept(members, probs) -> KeptSet:
+    """The kept set of `members`, their mass summed left to right, as
+    `select_kept` sums it, and each one's probability divided by it."""
+    mass = reduce(add, (probs[i] for i in members), 0)
+    return KeptSet(tuple(members), tuple([probs[i] / mass for i in members]), mass)
+
+
+def check_kept(kept: KeptSet) -> None:
+    """Raise ValueError unless `kept` has at least one member, one renorm
+    entry per member, renorm entries that are positive and sum to 1, and a
+    positive finite mass."""
+    members, renorm, mass = kept
+    if not members:
+        raise ValueError("kept set cannot be empty")
+    if len(renorm) != len(members):
+        raise ValueError("renorm length mismatch")
+    # The mass and the renorm sum each round by up to 2**-53 per member,
+    # so n members may leave the sum off by about n * 2**-52. Each check
+    # is written so that a NaN fails it.
+    if not abs(sum(renorm) - 1.0) <= max(1e-12, len(members) * 2**-52):
+        raise ValueError("renormalized probabilities must sum to 1")
+    if not min(renorm) > 0.0:  # after the sum check, no entry is NaN
+        raise ValueError("renormalized probabilities must be positive")
+    if not 0.0 < mass < math.inf:
+        raise ValueError(f"kept mass {mass!r} is not positive and finite")
 
 
 def brute_force_kept(dist: Distribution) -> KeptSet:
@@ -50,8 +84,7 @@ def brute_force_kept(dist: Distribution) -> KeptSet:
     for k in range(len(ranked), 0, -1):
         prefix = ranked[:k]
         if subset_cost(dist, prefix) <= best_cost + 1e-12:
-            mass = reduce(add, map(probs.__getitem__, prefix), 0)  # left to right, as select_kept
-            return KeptSet(tuple(prefix), tuple([probs[i] / mass for i in prefix]), mass)
+            return make_kept(prefix, probs)
     raise AssertionError("no prefix attains the exhaustive minimum")
 
 

@@ -39,8 +39,14 @@ class TestAlphabet:
         assert a.size == 4
 
     def test_sentinel_has_no_glyph(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sentinel"):
             Alphabet(("E",)).glyph_of(BOS)
+
+    @pytest.mark.parametrize("sym", [-1, 4])
+    def test_glyph_of_refuses_an_id_outside_the_alphabet(self, sym):
+        # -1 would read "B" from the end, and 4 is one past the last glyph
+        with pytest.raises(ValueError, match="outside alphabet"):
+            Alphabet(("A", "B", "C")).glyph_of(sym)
 
     def test_rejects_duplicates_and_long_glyphs(self):
         with pytest.raises(ValueError):

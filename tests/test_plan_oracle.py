@@ -43,7 +43,7 @@ from rwc.model import (
 from rwc.rewind import _CERTAIN, _PlanCache
 from rwc.selector import KeptSet, SelectorParams, full_support, select_kept
 
-from oracles import dense
+from oracles import ALPHA_VALUES, check_kept, dense, make_kept
 
 PARAMS = SelectorParams.default()
 
@@ -78,15 +78,6 @@ def oracle_ranked(probs):
     return ranked
 
 
-def oracle_make_kept(members, probs):
-    mass = reduce(add, (probs[i] for i in members), 0)
-    return KeptSet(
-        members=tuple(members),
-        renorm=tuple(probs[i] / mass for i in members),
-        mass=mass,
-    )
-
-
 def oracle_select_kept(dist, params):
     probs = dist.probs
     ranked = oracle_ranked(probs)
@@ -97,11 +88,11 @@ def oracle_select_kept(dist, params):
             break
         members.append(i)
         mass += probs[i]
-    return oracle_make_kept(members, probs)
+    return make_kept(members, probs)
 
 
 def oracle_full_support(dist):
-    return oracle_make_kept(oracle_ranked(dist.probs), dist.probs)
+    return make_kept(oracle_ranked(dist.probs), dist.probs)
 
 
 def oracle_quantize(weights):
@@ -357,6 +348,20 @@ def test_floor_ids_are_kept_in_ascending_order():
     assert_same_plan(FLOOR_KEPT_LOSSY, [], lossless=False)
 
 
+@settings(max_examples=300)
+@given(st.one_of(models(), row_models()), st.data())
+def test_predicted_kept_sets_hold_their_invariants(model, data):
+    """Every kept set selected from a prediction, lossless or at any alpha,
+    passes `check_kept`: `select_kept` holds its invariants by construction."""
+    histories = [list(ctx) for ctx in model.counts]
+    histories += [data.draw(st.lists(st.integers(1, model.alphabet.size - 1), max_size=4))]
+    for history in histories:
+        dist = predict(model, history)
+        check_kept(full_support(dist))
+        for alpha in ALPHA_VALUES:
+            check_kept(select_kept(dist, SelectorParams(alpha=alpha)))
+
+
 # --- hand-built distributions -----------------------------------------------
 
 awkward = st.one_of(
@@ -367,7 +372,7 @@ awkward = st.one_of(
 
 # `select_kept` tests its first ranked id against alpha * 0.0 like any other;
 # the oracle keeps it unconditionally. Each of these must agree with that.
-ALPHAS = st.sampled_from([PARAMS.alpha, 0.0, 0.5, 1.0, math.inf, math.nan, -1.0])
+ALPHAS = st.sampled_from(ALPHA_VALUES)
 
 
 @settings(max_examples=500)

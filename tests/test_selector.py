@@ -15,7 +15,7 @@ from rwc.selector import (
     subset_cost,
 )
 
-from oracles import brute_force_kept, dense
+from oracles import ALPHA_VALUES, brute_force_kept, check_kept, dense
 
 # Root of the keep/drop threshold equation, found independently by Newton
 # iteration to full float precision.
@@ -113,6 +113,17 @@ class TestSubsetCost:
         with pytest.raises(ValueError):
             subset_cost(d, (1, 3))
 
+    def test_repeated_member_rejected(self):
+        # counting id 2 twice would give a cost of -0.125
+        with pytest.raises(ValueError, match="repeated"):
+            subset_cost(dense((0.0, 0.25, 0.75)), (2, 2))
+
+    @pytest.mark.parametrize("sym", [-1, 0, 3])
+    def test_id_outside_the_alphabet_rejected(self, sym):
+        # -1 would index id 2 from the end, and 3 is past the last id
+        with pytest.raises(ValueError, match="outside alphabet"):
+            subset_cost(dense((0.0, 0.25, 0.75)), (sym,))
+
 
 class TestMarginalIdentity:
     @given(positive_dists(), st.data())
@@ -170,6 +181,12 @@ class TestSelectKept:
         assert abs(sum(kept.renorm) - 1.0) <= 1e-12
 
     @given(positive_dists())
+    def test_kept_sets_hold_their_invariants(self, d):
+        check_kept(full_support(d))
+        for alpha in ALPHA_VALUES:
+            check_kept(select_kept(d, SelectorParams(alpha=alpha)))
+
+    @given(positive_dists())
     def test_never_worse_than_trivial_policies(self, d):
         p = SelectorParams.default()
         cost = subset_cost(d, select_kept(d, p).members)
@@ -216,37 +233,39 @@ class TestBruteForce:
 
 
 class TestKeptSetValidation:
+    """`check_kept` refuses each malformed kept set with the reason why."""
+
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            KeptSet(members=(), renorm=(), mass=0.0)
+        with pytest.raises(ValueError, match="cannot be empty"):
+            check_kept(KeptSet(members=(), renorm=(), mass=0.0))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            KeptSet(members=(1, 2), renorm=(1.0,), mass=1.0)
+        with pytest.raises(ValueError, match="length mismatch"):
+            check_kept(KeptSet(members=(1, 2), renorm=(1.0,), mass=1.0))
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            KeptSet(members=(1, 2), renorm=(0.5, 0.4), mass=1.0)
+        with pytest.raises(ValueError, match="sum to 1"):
+            check_kept(KeptSet(members=(1, 2), renorm=(0.5, 0.4), mass=1.0))
 
     def test_small_set_off_by_a_billionth_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            KeptSet(members=(1, 2, 3), renorm=(0.5, 0.25, 0.25 + 1e-9), mass=1.0)
+            check_kept(KeptSet(members=(1, 2, 3), renorm=(0.5, 0.25, 0.25 + 1e-9), mass=1.0))
 
     @pytest.mark.parametrize("renorm", [(math.nan,), (1.0, math.nan), (math.inf, -math.inf)])
     def test_nan_sum_rejected(self, renorm):
         # abs(nan - 1) > tol is False, so the check must be written to fail on NaN
         with pytest.raises(ValueError, match="sum to 1"):
-            KeptSet(members=tuple(range(1, len(renorm) + 1)), renorm=renorm, mass=1.0)
+            check_kept(KeptSet(members=tuple(range(1, len(renorm) + 1)), renorm=renorm, mass=1.0))
 
     @pytest.mark.parametrize("renorm", [(1.0, 0.0), (1.5, -0.5), (1.0, -0.0)])
     def test_non_positive_entry_rejected(self, renorm):
         with pytest.raises(ValueError, match="must be positive"):
-            KeptSet(members=(1, 2), renorm=renorm, mass=1.0)
+            check_kept(KeptSet(members=(1, 2), renorm=renorm, mass=1.0))
 
     @pytest.mark.parametrize("mass", [0.0, -0.5, math.nan, math.inf])
     def test_mass_not_positive_and_finite_rejected(self, mass):
         with pytest.raises(ValueError, match="positive and finite"):
-            KeptSet(members=(1,), renorm=(1.0,), mass=mass)
+            check_kept(KeptSet(members=(1,), renorm=(1.0,), mass=mass))
 
     def test_lossless_set_over_fifty_thousand_glyphs_accepted(self):
         # Rounding in the mass and renorm sums grows with the member count;
@@ -254,5 +273,6 @@ class TestKeptSetValidation:
         alphabet = Alphabet(tuple(chr(0x100 + i) for i in range(50_000)))
         model = ContextModel(alphabet, 0, 0.1, {(): {1: 5, 2: 3}})
         kept = full_support(predict(model, []))
+        check_kept(kept)
         assert len(kept.members) == 50_000
         assert kept.members[:3] == (1, 2, 3)
