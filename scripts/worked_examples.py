@@ -19,9 +19,10 @@ def show_distribution(model, history_text):
     dist = predict(model, history)
     label = repr(history_text) if history_text else "start"
     print(f"  after {label}:")
+    probs = dist.probs
     for i in dist.support():
         glyph = model.alphabet.glyph_of(i)
-        print(f"    p({glyph}) = {dist.probs[i]:.4f}  surprise = {surprise(dist.probs[i]):.4f}")
+        print(f"    p({glyph}) = {probs[i]:.4f}  surprise = {surprise(probs[i]):.4f}")
     print(f"    entropy = {entropy(dist):.4f} bits")
     return dist
 

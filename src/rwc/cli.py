@@ -157,8 +157,9 @@ def cmd_analyze(args) -> int:
     # Unsmoothed order 0: each p is count / length, ties ranked by code point.
     model = train(_read_text(args.corpus), 0, 0.0)
     dist = predict(model, ())
+    probs = dist.probs
     for sym in full_support(dist).members:
-        p = dist.probs[sym]
+        p = probs[sym]
         print(f"char={model.alphabet.glyph_of(sym)!r} p={p:.6f} surprise={surprise(p):.6f}")
     print(f"entropy={entropy(dist):.6f}")
     return 0

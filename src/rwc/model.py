@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, starmap
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 BOS = 0  # reserved begin-of-stream id; pads contexts, never occurs in text
 
@@ -108,23 +108,23 @@ def build_alphabet(corpus: str) -> Alphabet:
     return Alphabet(tuple(sorted(set(corpus))))
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(NamedTuple):
     """A next-symbol prediction over ids 0..size-1 (id 0 is the sentinel).
 
     `row` maps the ids above the smoothing floor to their probabilities, in
     the matched row's order, unranked. Every other id but the sentinel has
     probability `floor` (0 without smoothing); the sentinel has 0. So the
-    selector ranks only the row, and `probs` lays the whole alphabet out.
+    selector ranks only the row, and `probs` lays the whole alphabet out,
+    built anew on each access.
     """
 
     row: dict[int, float]
     floor: float
     size: int
 
-    @cached_property
+    @property
     def probs(self) -> tuple[float, ...]:
-        """Dense view: the probability of each id, indexed by id."""
+        """Dense view, built on each access: the probability of each id, indexed by id."""
         probs = [0.0] * self.size
         probs[1:] = [self.floor] * (self.size - 1)
         for sym, p in self.row.items():

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import ne
 from typing import NamedTuple
 
-from .coder import TOTAL, Decoder, Encoder, FrequencyTable, quantize
+from .coder import Decoder, Encoder, FrequencyTable, quantize
 from .model import ContextModel, UnknownCharacterError, context_key, predict
 from .selector import SelectorParams, full_support, select_kept
 
@@ -87,9 +87,6 @@ class DecodeTrace:
         return tuple(map(StepOutcome, self.guesses, self.decoded))
 
 
-_CERTAIN = FrequencyTable((0, TOTAL))  # the table of every one-member kept set
-
-
 class _PlanCache(dict):
     """Order-k context -> plan, built on the first lookup of the context.
 
@@ -101,7 +98,7 @@ class _PlanCache(dict):
     cache may serve an encode and a decode walk of the same text, which then
     builds each plan once. Kept sets with equal renormalized probabilities
     share one frequency table, so each distinct renorm is quantized once per
-    cache; every one-member set's renorm is (1.0,), whose table is seeded.
+    cache, the one-member renorm (1.0,) included.
     """
 
     def __init__(self, model: ContextModel, params: SelectorParams, lossless: bool):
@@ -109,7 +106,7 @@ class _PlanCache(dict):
         self.model = model
         self.params = params
         self.lossless = lossless
-        self._tables: dict[tuple[float, ...], FrequencyTable] = {(1.0,): _CERTAIN}
+        self._tables: dict[tuple[float, ...], FrequencyTable] = {}
 
     def __missing__(
         self, ctx: tuple[int, ...]
@@ -172,12 +169,13 @@ def encode_document(
 class DecoderSession:
     """Sequential guess/reveal decoder over a hints payload.
 
-    next_guess() decodes one symbol (idempotently; the guess is pinned until
-    revealed). reveal(truth) either commits the guess or rewinds the coder,
-    and always shifts the truth into the order-k context. A truth outside the
-    alphabet is refused before anything is decoded, so a refused reveal
-    changes nothing. The session's state is that context and the coder, plus
-    a position for error messages. `plans` is as in `encode_document`.
+    next_guess() returns the guess at the current position and changes
+    nothing. reveal(truth) decodes that guess again, then either commits it
+    or rewinds the coder, and always shifts the truth into the order-k
+    context. A truth outside the alphabet is refused before anything is
+    decoded, so a refused reveal changes nothing. The session's state is
+    that context and the coder, plus a position for error messages. `plans`
+    is as in `encode_document`.
     """
 
     def __init__(
@@ -195,26 +193,22 @@ class DecoderSession:
         self._glyphs = model.alphabet.glyphs  # id i is glyphs[i - 1]; plans never keep id 0
         self._ctx = context_key(model.order, ())
         self._position = 0
-        self._pending: tuple[int, tuple[int, int, int, int]] | None = None
 
     def next_guess(self) -> str:
-        if self._pending is None:
-            members, table, _ = self._plans[self._ctx]
-            state = self._decoder.checkpoint()
-            self._pending = (members[self._decoder.decode(table)], state)
-        return self._glyphs[self._pending[0] - 1]
+        members, table, _ = self._plans[self._ctx]
+        state = self._decoder.checkpoint()
+        guess_sym = members[self._decoder.decode(table)]
+        self._decoder.restore(state)
+        return self._glyphs[guess_sym - 1]
 
     def reveal(self, truth: str) -> StepOutcome:
         # The whole step in one frame: this runs once per decoded position.
         truth_sym = self._ids.get(truth)  # an unhashable truth raises here, before any decode
         if truth_sym is None:
             raise UnknownCharacterError(truth, self._position)
-        if self._pending is None:
-            members, table, _ = self._plans[self._ctx]
-            state = self._decoder.checkpoint()
-            guess_sym = members[self._decoder.decode(table)]
-        else:
-            (guess_sym, state), self._pending = self._pending, None
+        members, table, _ = self._plans[self._ctx]
+        state = self._decoder.checkpoint()
+        guess_sym = members[self._decoder.decode(table)]
         if truth_sym != guess_sym:
             self._decoder.restore(state)
         self._ctx = (self._ctx + (truth_sym,))[1:]

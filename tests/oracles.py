@@ -9,9 +9,11 @@ that a distribution is a probability distribution, and `uniform_byte_model`
 is the order-0 model of uniformly random bytes. `oracle_glyph_fault` and
 `oracle_tables` check glyphs and a count table entry by entry, as
 `Alphabet` and `ContextModel` did before they checked in bulk.
+`model_file` writes an RWC2 model file field by field.
 """
 
 import math
+import struct
 from functools import reduce
 from operator import add
 
@@ -31,10 +33,11 @@ def dense(probs) -> Distribution:
 
 
 def validate(dist: Distribution, tol: float = 1e-9) -> None:
-    if any(p < 0.0 for p in dist.probs):
+    probs = dist.probs
+    if any(p < 0.0 for p in probs):
         raise ValueError("negative probability")
-    if abs(sum(dist.probs) - 1.0) > tol:
-        raise ValueError(f"probabilities sum to {sum(dist.probs)!r}, not 1")
+    if abs(sum(probs) - 1.0) > tol:
+        raise ValueError(f"probabilities sum to {sum(probs)!r}, not 1")
 
 
 def make_kept(members, probs) -> KeptSet:
@@ -133,3 +136,16 @@ def oracle_tables(n: int, k: int, counts: dict) -> list[dict]:
             for sym, c in row.items():
                 bucket[sym] = bucket.get(sym, 0) + c
     return tables
+
+
+def model_file(order, smoothing, code_points, table) -> bytes:
+    """An RWC2 model file written field by field, so that it can hold what no
+    valid model serializes to. `table` lists (context, [(symbol, count)])."""
+    out = b"RWC2" + struct.pack("<IdI", order, smoothing, len(code_points))
+    out += struct.pack(f"<{len(code_points)}I", *code_points)
+    out += struct.pack("<Q", len(table))
+    for ctx, row in table:
+        out += struct.pack(f"<{order}I", *ctx) + struct.pack("<I", len(row))
+        for sym, count in row:
+            out += struct.pack("<IQ", sym, count)
+    return out

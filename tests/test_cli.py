@@ -1,7 +1,6 @@
 import hashlib
 import math
 import os
-import struct
 import tempfile
 from pathlib import Path
 
@@ -31,6 +30,8 @@ from rwc.model import (
 )
 from rwc.rewind import render_trace
 
+from oracles import model_file
+
 
 @pytest.fixture()
 def chain_files(tmp_path, chain_model):
@@ -45,19 +46,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def model_file(order, smoothing, code_points, table):
-    """An RWC2 model file written field by field, so that it can hold what no
-    valid model serializes to. `table` lists (context, [(symbol, count)])."""
-    out = b"RWC2" + struct.pack("<IdI", order, smoothing, len(code_points))
-    out += struct.pack(f"<{len(code_points)}I", *code_points)
-    out += struct.pack("<Q", len(table))
-    for ctx, row in table:
-        out += struct.pack(f"<{order}I", *ctx) + struct.pack("<I", len(row))
-        for sym, count in row:
-            out += struct.pack("<IQ", sym, count)
-    return out
 
 
 ETAHS = [ord(g) for g in "ETAHS"]  # covers the chain_files document

@@ -61,14 +61,14 @@ def count_plan_stages(monkeypatch) -> Counter:
 def stage_counts(model, text, lossless) -> dict[str, int]:
     """One `predict` and one selection per distinct context of `text`, and
     one `quantize` and `from_freqs` per distinct renorm of those contexts'
-    kept sets that have more than one member; kept sets with equal renorms
-    share a table, and a one-member set takes the one seeded table."""
+    kept sets; kept sets with equal renorms share a table, so every
+    one-member set, whose renorm is (1.0,), shares one."""
     syms = model.alphabet.encode(text)
     contexts = {context_key(model.order, syms[:i]) for i in range(len(syms))}
     select = "full_support" if lossless else "select_kept"
     choose = full_support if lossless else partial(select_kept, params=SelectorParams.default())
     kept = [choose(predict(model, ctx)) for ctx in contexts]
-    tables = len({k.renorm for k in kept if len(k.renorm) > 1})
+    tables = len({k.renorm for k in kept})
     return {"predict": len(contexts), select: len(contexts), "quantize": tables, "from_freqs": tables}
 
 

@@ -1,6 +1,5 @@
 import copy
 import math
-import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +24,7 @@ from rwc.model import (
     train,
 )
 
-from oracles import dense, oracle_glyph_fault, oracle_tables, validate
+from oracles import dense, model_file, oracle_glyph_fault, oracle_tables, validate
 
 
 class TestAlphabet:
@@ -339,27 +338,6 @@ class TestModelFile:
         validate(predict(m, []))
 
 
-def oracle_serialize(model):
-    """The writer as it was before it packed whole runs in one call: one pack
-    per glyph and one per row entry."""
-    k = model.order
-    out = bytearray()
-    out += b"RWC2"
-    out += struct.pack("<Id", k, model.smoothing)
-    out += struct.pack("<I", len(model.alphabet.glyphs))
-    for g in model.alphabet.glyphs:
-        out += struct.pack("<I", ord(g))
-    table = model.counts
-    out += struct.pack("<Q", len(table))
-    for ctx in sorted(table):
-        out += struct.pack(f"<{k}I", *ctx)
-        row = table[ctx]
-        out += struct.pack("<I", len(row))
-        for sym in sorted(row):
-            out += struct.pack("<IQ", sym, row[sym])
-    return bytes(out)
-
-
 @st.composite
 def models(draw):
     """Any valid model: orders 0..MAX_ORDER, glyphs anywhere in Unicode
@@ -389,7 +367,9 @@ class TestModelFileFormat:
     @given(models())
     def test_writer_matches_the_per_entry_writer_and_parses_back(self, m):
         blob = serialize_model(m)
-        assert blob == oracle_serialize(m)
+        glyphs = [ord(g) for g in m.alphabet.glyphs]
+        table = [(ctx, sorted(row.items())) for ctx, row in sorted(m.counts.items())]
+        assert blob == model_file(m.order, m.smoothing, glyphs, table)
         assert parse_model(blob) == m
 
 

@@ -40,7 +40,7 @@ from rwc.model import (
     predict,
     train,
 )
-from rwc.rewind import _CERTAIN, _PlanCache
+from rwc.rewind import _PlanCache
 from rwc.selector import KeptSet, SelectorParams, full_support, select_kept
 
 from oracles import ALPHA_VALUES, check_kept, dense, make_kept
@@ -210,9 +210,8 @@ def test_random_models_plan_identically(model, data, lossless):
 @settings(max_examples=300)
 @given(models(), st.data(), st.booleans())
 def test_cached_plans_equal_the_oracle_plans(model, data, lossless):
-    """The plan cache quantizes each distinct renorm once, and seeds the
-    table of (1.0,), the renorm of every one-member set. That seeded table
-    must be the one that quantizing (1.0,) gives."""
+    """The plan cache quantizes each distinct renorm once, the one-member
+    renorm (1.0,) included."""
     plans = _PlanCache(model, PARAMS, lossless)
     histories = [list(ctx) for ctx in model.counts]
     histories += [data.draw(st.lists(st.integers(1, model.alphabet.size - 1), max_size=4))]
@@ -227,14 +226,14 @@ def test_cached_plans_equal_the_oracle_plans(model, data, lossless):
 def assert_one_table_per_renorm(model, histories, lossless):
     """Within one cache, two plans hold the same `FrequencyTable` object
     exactly when the oracle's kept sets for them have equal renorms, and
-    every one-member plan holds the seeded `_CERTAIN`."""
+    every one-member plan holds the table (0, TOTAL)."""
     plans = _PlanCache(model, PARAMS, lossless)
     seen = []
     for history in histories:
         members, table, _ = plans[context_key(model.order, history)]
         kept, _ = plan(oracle_predict(model, history), lossless, oracle_select_kept,
                        oracle_full_support, oracle_quantize, oracle_from_freqs)
-        assert len(members) > 1 or table is _CERTAIN
+        assert len(members) > 1 or table.cum == (0, TOTAL)
         seen.append((kept.renorm, table))
     for renorm, table in seen:
         assert [t is table for _, t in seen] == [r == renorm for r, _ in seen]
