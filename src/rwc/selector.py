@@ -18,12 +18,6 @@ from typing import Iterable, NamedTuple
 
 from .model import Distribution
 
-ALPHA_DEFAULT_TOL = 1e-10
-_ALPHA_LO = 1e-9
-_ALPHA_HI = 1.0
-
-_CACHED_ALPHA: dict[float, float] = {}
-
 
 def marginal_f(x: float) -> float:
     """Objective change, in units of kept mass, from keeping a candidate.
@@ -38,29 +32,20 @@ def marginal_f(x: float) -> float:
     return 0.25 * ((1.0 + x) * math.log2(1.0 + x) - x * math.log2(x)) - x
 
 
-def solve_alpha(tol: float = ALPHA_DEFAULT_TOL) -> float:
-    """Root of marginal_f in (0, 1), found by bisection to within tol, or to
-    adjacent floats when tol is finer than their spacing."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
-    cached = _CACHED_ALPHA.get(tol)
-    if cached is not None:
-        return cached
-    lo, hi = _ALPHA_LO, _ALPHA_HI
-    f_lo, f_hi = marginal_f(lo), marginal_f(hi)
-    if not (f_lo > 0.0 > f_hi):
-        raise ArithmeticError("bisection bracket does not straddle the root")
-    while hi - lo > tol:
+def solve_alpha() -> float:
+    """Root of marginal_f in (0, 1), bisected from [1e-9, 1] to within 1e-10.
+
+    marginal_f is positive at 1e-9 and negative at 1, and the bisection takes
+    the same steps on every call, so alpha is the same float each time.
+    """
+    lo, hi = 1e-9, 1.0
+    while hi - lo > 1e-10:
         mid = (lo + hi) / 2.0
-        if mid == lo or mid == hi:
-            break
         if marginal_f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    root = (lo + hi) / 2.0
-    _CACHED_ALPHA[tol] = root
-    return root
+    return (lo + hi) / 2.0
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 bytes-lossless is the only workload whose plans come from `full_support`
 rather than `select_kept`, so its run covers the lossless plan path under
 the tracer's wrappers. text-k4 builds thousands of plans, so its run counts
-how many one traced evaluate builds, and how many coder calls it makes. The
-copy keeps `bench/out/` of the checkout untouched.
+how many one traced evaluate builds, and how many coder calls it makes.
+chain-k2 has few contexts and many wrong guesses, so its run counts the
+rewinds that make up most of its decode work. The copy keeps `bench/out/`
+of the checkout untouched.
 """
 
 import json
@@ -49,3 +51,13 @@ def test_traced_evaluate_builds_each_text_plan_once(tmp_path):
     # walk still decodes every position.
     assert metrics["coder.encode.calls"] == 3_206
     assert metrics["coder.decode.calls"] == 12_778
+
+
+def test_traced_chain_run_counts_each_rewind(tmp_path):
+    # One plan per context of the chain, and one coder restore per rewind.
+    metrics = traced_run(tmp_path, "chain-k2")
+    assert metrics["rewind.plan.builds"] == metrics["selector.select.calls"] == 15
+    assert metrics["selector.kept_mean"] == pytest.approx(28 / 15)
+    assert metrics["coder.encode.calls"] == 9_800
+    assert metrics["coder.decode.calls"] == 10_000
+    assert metrics["coder.restore.calls"] == metrics["rewind.rewinds"] == 198

@@ -47,18 +47,11 @@ class TestSolveAlpha:
     def test_root_of_marginal_function(self):
         assert abs(marginal_f(solve_alpha())) <= 1e-9
 
-    def test_tolerance_monotonicity(self):
-        coarse = solve_alpha(1e-6)
-        fine = solve_alpha(1e-10)
-        assert f"{coarse:.5f}" == f"{fine:.5f}"
+    def test_bisection_bracket_straddles_the_root(self):
+        assert marginal_f(1e-9) > 0.0 > marginal_f(1.0)
 
-    def test_bad_tolerance_rejected(self):
-        for tol in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                solve_alpha(tol)
-
-    def test_tolerance_below_float_spacing_terminates(self):
-        assert abs(solve_alpha(1e-300) - solve_alpha()) <= 1e-10
+    def test_same_float_on_every_call(self):
+        assert solve_alpha().hex() == solve_alpha().hex() == "0x1.7bbda4a2fd1e8p-3"
 
     def test_params_default_carries_alpha(self):
         p = SelectorParams.default()

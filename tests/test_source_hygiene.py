@@ -6,6 +6,8 @@ library module. And every name a module imports must be used in it;
 exactly what `rwc.__all__` lists, once each and sorted, so a deleted name
 cannot leave a stale export behind. And every exported name is used by the
 package itself, the scripts or the benchmark, so no test-only helper ships.
+No module binds a mutable container at top level, so the package keeps no
+process-wide state such as a memo.
 """
 
 import ast
@@ -77,3 +79,32 @@ def test_every_export_has_a_caller_outside_the_tests():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert [name for name in rwc.__all__ if name not in used] == []
+
+
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTABLE_TYPES = {"dict", "list", "set", "bytearray"}
+
+
+def is_mutable_container(node):
+    if isinstance(node, MUTABLE_DISPLAYS):
+        return True
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in MUTABLE_TYPES)
+
+
+def top_level_bindings(tree):
+    """(target source, value) of each assignment in the module body."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                yield ast.unparse(target), node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            yield ast.unparse(node.target), node.value
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_top_level_mutable_container(path):
+    exempt = {"__all__"} if path.name == "__init__.py" else set()
+    mutable = [target for target, value in top_level_bindings(parse(path))
+               if target not in exempt and is_mutable_container(value)]
+    assert mutable == []
