@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, starmap
+from itertools import chain, islice, repeat
 from typing import NamedTuple, Sequence
 
 BOS = 0  # reserved begin-of-stream id; pads contexts, never occurs in text
@@ -24,10 +26,15 @@ BOS = 0  # reserved begin-of-stream id; pads contexts, never occurs in text
 # about k^2/2 ids per order-k context, so an unbounded order would let a
 # small model file claim memory quadratic in its size.
 MAX_ORDER = 8
-MAX_COUNT = 2**64 - 1  # a count must fit the model file's u64 field
+MAX_COUNT = 2**64 - 1  # a count must fit an 8-byte item, a model file's widest
 
 _MAGIC = b"RWC"
-_VERSION = b"2"
+_VERSION = b"3"
+_HEADER = struct.Struct("<IdIQ")  # order, smoothing, glyph count, context count
+_WIDTHS = (1, 2, 4, 8)  # the item widths, in bytes, that a model file's column may have
+# The array typecode of each width, picked by itemsize, since C leaves the
+# sizes of "H", "I" and "L" to the platform.
+_TYPECODES = tuple(next(c for c in "BHILQ" if array(c).itemsize == w) for w in _WIDTHS)
 
 
 class ModelFormatError(ValueError):
@@ -280,28 +287,62 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
     return Distribution(row, floor, n)
 
 
-_PAIR = struct.Struct("<IQ")  # (symbol id, count), one per row entry
+def _column(items: list[int]) -> bytes:
+    """A column: a width byte, then `items` as little-endian unsigned ints of
+    that width, the narrowest that holds the largest item."""
+    i = bisect_left(_WIDTHS, (max(items, default=0).bit_length() + 7) // 8)
+    col = array(_TYPECODES[i], items)
+    if sys.byteorder == "big":
+        col.byteswap()
+    return bytes((_WIDTHS[i],)) + col.tobytes()
+
+
+def _read_column(data: bytes, pos: int, count: int, name: str) -> tuple[array, int]:
+    """The `count` items of the column at `pos`, and the position after it."""
+    if pos >= len(data):
+        raise ModelFormatError("model file truncated")
+    width = data[pos]
+    if width not in _WIDTHS:
+        raise ModelFormatError(f"{name} column has width {width}, not 1, 2, 4 or 8")
+    end = pos + 1 + width * count
+    if end > len(data):  # before reading: a count past the file is a truncation
+        raise ModelFormatError("model file truncated")
+    raw = data[pos + 1 : end]
+    # Half the width would do when the upper half of every item is zero bytes.
+    if width > 1 and not any(raw[j::width].strip(b"\0") for j in range(width // 2, width)):
+        raise ModelFormatError(f"{name} column is wider than its largest item needs")
+    items = array(_TYPECODES[_WIDTHS.index(width)], raw)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items, end
 
 
 def serialize_model(model: ContextModel) -> bytes:
-    """Serialize to the versioned "RWC2" little-endian format.
+    """Serialize to the versioned "RWC3" little-endian format.
 
-    Layout: magic, order (u32), smoothing (f64), glyph count (u32) and glyph
-    code points (u32 each), then the order-k table: a u64 context count
-    followed by each context (k u32 ids, u32 row length, and (u32 id, u64
-    count) pairs). Lower orders are derived on load, so they are not stored.
-    Contexts and rows are sorted, so serialization is deterministic.
+    Layout: magic, then order (u32), smoothing (f64), glyph count (u32) and
+    context count (u64), then five columns: the glyph code points, the sorted
+    contexts' ids one after another, the row lengths, each row's symbols in
+    ascending order, and their counts. Each column is a width byte w in
+    {1, 2, 4, 8}, the narrowest that holds its largest item, then its items
+    as w-byte unsigned ints. Lower orders are derived on load, so they are not
+    stored. Contexts and rows are sorted, so serialization is deterministic.
     """
     k, glyphs, table = model.order, model.alphabet.glyphs, model.counts
-    n = len(glyphs)
-    head = struct.Struct(f"<{k}II").pack  # a context's ids and its row length
-    out = bytearray(_MAGIC + _VERSION)
-    out += struct.pack(f"<IdI{n}IQ", k, model.smoothing, n, *map(ord, glyphs), len(table))
-    for ctx in sorted(table):
-        row = table[ctx]
-        out += head(*ctx, len(row))
-        out += b"".join(starmap(_PAIR.pack, sorted(row.items())))
-    return bytes(out)
+    contexts = sorted(table)
+    rows = list(map(table.__getitem__, contexts))
+    lengths = list(map(len, rows))
+    syms = list(chain.from_iterable(map(sorted, rows)))
+    counts = map(dict.__getitem__, chain.from_iterable(map(repeat, rows, lengths)), syms)
+    # Each column's list is dropped once it is packed, before the next is built.
+    return b"".join([
+        _MAGIC + _VERSION + _HEADER.pack(k, model.smoothing, len(glyphs), len(table)),
+        _column(list(map(ord, glyphs))),
+        _column(list(chain.from_iterable(contexts))),
+        _column(lengths),
+        _column(syms),
+        _column(list(counts)),
+    ])
 
 
 def parse_model(data: bytes) -> ContextModel:
@@ -312,37 +353,31 @@ def parse_model(data: bytes) -> ContextModel:
         raise ModelFormatError("not a model file (bad magic)")
     if data[3:4] != _VERSION:
         raise ModelFormatError(f"unsupported model version {data[3:4]!r}")
-    view = memoryview(data)
-    try:  # every unpack raises struct.error when it would read past the end
-        order, smoothing, n_glyphs = struct.unpack_from("<IdI", data, 4)
-        code_points = struct.unpack_from(f"<{n_glyphs}I", data, 20)
-        if max(code_points, default=0) > sys.maxunicode:
-            raise ModelFormatError(f"invalid glyph code point {max(code_points):#x}")
-        glyphs = tuple(map(chr, code_points))
-        pos = 20 + 4 * n_glyphs  # magic and version (4), order, smoothing and glyph count (16)
-        (n_ctx,) = struct.unpack_from("<Q", data, pos)
-        pos += 8
-        table: Table = {}
-        head = struct.Struct(f"<{order}II")  # a context's ids and its row length
-        unpack_head, pairs, size = head.unpack_from, _PAIR.iter_unpack, len(data)
-        for _ in range(n_ctx):
-            fields = unpack_head(data, pos)
-            ctx, n_row = fields[:-1], fields[-1]
-            pos += head.size
-            end = pos + _PAIR.size * n_row
-            if end > size:  # a short slice would just unpack fewer pairs
-                raise ModelFormatError("model file truncated")
-            row = table[ctx] = dict(pairs(view[pos:end]))
-            pos = end
-            if len(row) != n_row:
-                raise ModelFormatError(f"context {ctx} lists a symbol twice")
-    except struct.error:
-        raise ModelFormatError("model file truncated") from None
-    if len(table) != n_ctx:
-        raise ModelFormatError("a context is listed twice")
+    if len(data) < 4 + _HEADER.size:
+        raise ModelFormatError("model file truncated")
+    order, smoothing, n_glyphs, n_ctx = _HEADER.unpack_from(data, 4)
+    if order > MAX_ORDER:  # before the ids are split into `order`-tuples
+        raise ModelFormatError(f"order {order} is not in 0..{MAX_ORDER}")
+    code_points, pos = _read_column(data, 4 + _HEADER.size, n_glyphs, "glyph")
+    ids, pos = _read_column(data, pos, n_ctx * order, "context id")
+    lengths, pos = _read_column(data, pos, n_ctx, "row length")
+    n_pairs = sum(lengths)
+    syms, pos = _read_column(data, pos, n_pairs, "symbol")
+    counts, pos = _read_column(data, pos, n_pairs, "count")
     if pos != len(data):
         raise ModelFormatError("trailing data after model")
+    # Columns of 1 or 2 bytes hold only code points below 0x10000.
+    if code_points.itemsize > 2 and max(code_points) > sys.maxunicode:
+        raise ModelFormatError(f"invalid glyph code point {max(code_points):#x}")
+    contexts = zip(*[iter(ids)] * order) if order else repeat((), n_ctx)
+    rows = list(map(dict, map(islice, repeat(zip(syms, counts)), lengths)))
+    table: Table = dict(zip(contexts, rows))
+    if len(table) != n_ctx:
+        raise ModelFormatError("a context is listed twice")
+    if sum(map(len, rows)) != n_pairs:
+        ctx = next(ctx for ctx, row, n in zip(table, rows, lengths) if len(row) != n)
+        raise ModelFormatError(f"context {ctx} lists a symbol twice")
     try:  # the constructors refuse the rest, surrogate glyphs included
-        return ContextModel(Alphabet(glyphs), order, smoothing, table)
+        return ContextModel(Alphabet(tuple(map(chr, code_points))), order, smoothing, table)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None

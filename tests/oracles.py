@@ -9,7 +9,9 @@ that a distribution is a probability distribution, and `uniform_byte_model`
 is the order-0 model of uniformly random bytes. `oracle_glyph_fault` and
 `oracle_tables` check glyphs and a count table entry by entry, as
 `Alphabet` and `ContextModel` did before they checked in bulk.
-`model_file` writes an RWC2 model file field by field.
+`model_file` writes an RWC3 model file entry by entry, with any column
+widths. `rwc2_serialize` and `rwc2_parse` write and read the retired RWC2
+format, whose per-context records RWC3's columns replaced.
 """
 
 import math
@@ -18,7 +20,7 @@ from functools import reduce
 from operator import add
 
 from rwc.harness import ChainSource, model_from_chain
-from rwc.model import MAX_COUNT, ContextModel, Distribution
+from rwc.model import MAX_COUNT, Alphabet, ContextModel, Distribution
 from rwc.selector import KeptSet, solve_alpha, subset_cost
 
 # Thresholds a selection is tried at: the objective's, the lossless 0, and
@@ -138,14 +140,66 @@ def oracle_tables(n: int, k: int, counts: dict) -> list[dict]:
     return tables
 
 
-def model_file(order, smoothing, code_points, table) -> bytes:
-    """An RWC2 model file written field by field, so that it can hold what no
-    valid model serializes to. `table` lists (context, [(symbol, count)])."""
-    out = b"RWC2" + struct.pack("<IdI", order, smoothing, len(code_points))
-    out += struct.pack(f"<{len(code_points)}I", *code_points)
-    out += struct.pack("<Q", len(table))
-    for ctx, row in table:
-        out += struct.pack(f"<{order}I", *ctx) + struct.pack("<I", len(row))
-        for sym, count in row:
-            out += struct.pack("<IQ", sym, count)
+def model_file(order, smoothing, code_points, table, widths=None, n_ctx=None, lengths=None):
+    """An RWC3 model file written entry by entry, so that it can hold what no
+    valid model serializes to. `table` lists (context, [(symbol, count)]).
+    `widths` gives the five columns' width bytes; each left out is the
+    narrowest of 1, 2, 4 and 8 that holds its column. `n_ctx` and `lengths`,
+    when given, stand in for the header's context count and the row lengths."""
+    columns = [
+        list(code_points),
+        [i for ctx, _ in table for i in ctx],
+        [len(row) for _, row in table] if lengths is None else lengths,
+        [sym for _, row in table for sym, _ in row],
+        [count for _, row in table for _, count in row],
+    ]
+    if widths is None:
+        widths = [min(w for w in (1, 2, 4, 8) if all(x < 256**w for x in col)) for col in columns]
+    n_ctx = len(table) if n_ctx is None else n_ctx
+    out = b"RWC3" + struct.pack("<IdIQ", order, smoothing, len(code_points), n_ctx)
+    for width, column in zip(widths, columns):
+        out += bytes([width])
+        for item in column:
+            out += item.to_bytes(width, "little")
     return out
+
+
+def rwc2_serialize(model: ContextModel) -> bytes:
+    """The retired RWC2 file of `model`: magic, order (u32), smoothing (f64),
+    glyph count (u32) and code points (u32 each), a u64 context count, then
+    each sorted context as k u32 ids, a u32 row length and the row's sorted
+    (u32 symbol, u64 count) pairs."""
+    k, glyphs, table = model.order, model.alphabet.glyphs, model.counts
+    out = b"RWC2" + struct.pack(f"<IdI{len(glyphs)}IQ", k, model.smoothing, len(glyphs),
+                                *map(ord, glyphs), len(table))
+    for ctx in sorted(table):
+        row = table[ctx]
+        out += struct.pack(f"<{k}II", *ctx, len(row))
+        out += b"".join(struct.pack("<IQ", *pair) for pair in sorted(row.items()))
+    return out
+
+
+def rwc2_parse(data: bytes) -> ContextModel:
+    """Inverse of `rwc2_serialize`; raises `struct.error` or `ValueError` on a
+    file that does not hold a valid model."""
+    if data[:4] != b"RWC2":
+        raise ValueError("not an RWC2 file")
+    order, smoothing, n_glyphs = struct.unpack_from("<IdI", data, 4)
+    glyphs = tuple(map(chr, struct.unpack_from(f"<{n_glyphs}I", data, 20)))
+    pos = 20 + 4 * n_glyphs
+    (n_ctx,) = struct.unpack_from("<Q", data, pos)
+    pos += 8
+    table = {}
+    for _ in range(n_ctx):
+        *ctx, n_row = struct.unpack_from(f"<{order}II", data, pos)
+        pos += 4 * order + 4
+        row = table[tuple(ctx)] = {}
+        for _ in range(n_row):
+            sym, count = struct.unpack_from("<IQ", data, pos)
+            row[sym] = count
+            pos += 12
+        if len(row) != n_row:
+            raise ValueError("a symbol is listed twice")
+    if len(table) != n_ctx or pos != len(data):
+        raise ValueError("a context is listed twice, or trailing data")
+    return ContextModel(Alphabet(glyphs), order, smoothing, table)

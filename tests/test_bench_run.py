@@ -5,8 +5,9 @@ rather than `select_kept`, so its run covers the lossless plan path under
 the tracer's wrappers. text-k4 builds thousands of plans, so its run counts
 how many one traced evaluate builds, and how many coder calls it makes.
 chain-k2 has few contexts and many wrong guesses, so its run counts the
-rewinds that make up most of its decode work. The copy keeps `bench/out/`
-of the checkout untouched.
+rewinds that make up most of its decode work. Each run also pins its
+model file's size and `score_with_model`. The copy keeps `bench/out/` of
+the checkout untouched.
 """
 
 import json
@@ -21,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def traced_run(tmp_path, workload):
-    """The JSON record of `bench/run.py --seconds 0 --trace 1` on one workload."""
+    """The metrics of `bench/run.py --seconds 0 --trace 1` on one workload."""
     skip = shutil.ignore_patterns("out", "__pycache__")
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=skip)
     shutil.copytree(ROOT / "bench", tmp_path / "bench", ignore=skip)
@@ -37,8 +38,17 @@ def traced_run(tmp_path, workload):
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def assert_model_cost(tmp_path, workload, model_bytes, score_with_model):
+    """The model file's size at the default seed, and the score that charges
+    it, as the traced run's record under the copy's `bench/out/` has them."""
+    (record,) = (tmp_path / "bench" / "out").glob(f"{workload}-seed*-trace1.json")
+    q = json.loads(record.read_text(encoding="utf-8"))["quality"]
+    assert (q["model_bytes"], q["score_with_model"]) == (model_bytes, score_with_model)
+
+
 def test_traced_lossless_run_is_correct(tmp_path):
     assert traced_run(tmp_path, "bytes-lossless")["selector.kept_mean"] == 256
+    assert_model_cost(tmp_path, "bytes-lossless", 1_315, 22_638)
 
 
 def test_traced_evaluate_builds_each_text_plan_once(tmp_path):
@@ -51,6 +61,7 @@ def test_traced_evaluate_builds_each_text_plan_once(tmp_path):
     # walk still decodes every position.
     assert metrics["coder.encode.calls"] == 3_206
     assert metrics["coder.decode.calls"] == 12_778
+    assert_model_cost(tmp_path, "text-k4", 178_355, 360_067)
 
 
 def test_traced_chain_run_counts_each_rewind(tmp_path):
@@ -61,3 +72,4 @@ def test_traced_chain_run_counts_each_rewind(tmp_path):
     assert metrics["coder.encode.calls"] == 9_800
     assert metrics["coder.decode.calls"] == 10_000
     assert metrics["coder.restore.calls"] == metrics["rewind.rewinds"] == 198
+    assert_model_cost(tmp_path, "chain-k2", 206, 3_060)

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from rwc.model import (
 )
 from rwc.rewind import render_trace
 
-from oracles import model_file
+from oracles import model_file, rwc2_serialize
 
 
 @pytest.fixture()
@@ -49,32 +51,90 @@ def run(capsys, *argv):
 
 
 ETAHS = [ord(g) for g in "ETAHS"]  # covers the chain_files document
+ONE = [((), [(1, 1)])]  # an order-0 table of one count
+# Each hostile model file, and the message it is refused with.
 HOSTILE_MODELS = {
-    "infinite smoothing": model_file(0, math.inf, ETAHS, [((), [(1, 1)])]),
-    "smoothing mass overflows": model_file(0, 1e308, ETAHS, [((), [(1, 1)])]),
-    "NaN smoothing": model_file(0, math.nan, ETAHS, [((), [(1, 1)])]),
-    "negative smoothing": model_file(0, -1.0, ETAHS, [((), [(1, 1)])]),
-    "zero count without smoothing": model_file(0, 0.0, ETAHS, [((), [(1, 0)])]),
-    "empty table": model_file(0, 0.1, ETAHS, []),
-    "empty row": model_file(0, 0.1, ETAHS, [((), [])]),
-    "code point past 2**31": model_file(0, 0.1, ETAHS + [2**31], [((), [(1, 1)])]),
-    "code point past Unicode": model_file(0, 0.1, ETAHS + [0x110000], [((), [(1, 1)])]),
-    "surrogate code point": model_file(0, 0.1, ETAHS + [0xD800], [((), [(1, 1)])]),
-    "context id outside alphabet": model_file(1, 0.1, ETAHS, [((7,), [(1, 1)])]),
-    "symbol id outside alphabet": model_file(0, 0.1, ETAHS, [((), [(7, 1)])]),
-    "order past MAX_ORDER": model_file(
-        MAX_ORDER + 1, 0.1, ETAHS, [((1,) * (MAX_ORDER + 1), [(1, 1)])]
+    "infinite smoothing": (
+        model_file(0, math.inf, ETAHS, ONE), "smoothing inf is negative or has infinite mass"
     ),
-    "retired RWC1 version": b"RWC1" + model_file(0, 0.1, ETAHS, [((), [(1, 1)])])[4:],
-    "context listed twice": model_file(0, 0.1, ETAHS, [((), [(1, 1)]), ((), [(2, 1)])]),
-    "symbol listed twice": model_file(0, 0.1, ETAHS, [((), [(1, 1), (1, 2)])]),
+    "smoothing mass overflows": (
+        model_file(0, 1e308, ETAHS, ONE), "smoothing 1e+308 is negative or has infinite mass"
+    ),
+    "NaN smoothing": (
+        model_file(0, math.nan, ETAHS, ONE), "smoothing nan is negative or has infinite mass"
+    ),
+    "negative smoothing": (
+        model_file(0, -1.0, ETAHS, ONE), "smoothing -1.0 is negative or has infinite mass"
+    ),
+    "zero count without smoothing": (
+        model_file(0, 0.0, ETAHS, [((), [(1, 0)])]), "count 0 is not an integer in 1..2**64-1"
+    ),
+    "empty table": (model_file(0, 0.1, ETAHS, []), "empty count table"),
+    "empty row": (model_file(0, 0.1, ETAHS, [((), [])]), "context () has an empty row"),
+    "code point past 2**31": (
+        model_file(0, 0.1, ETAHS + [2**31], ONE), "invalid glyph code point 0x80000000"
+    ),
+    "code point past Unicode": (
+        model_file(0, 0.1, ETAHS + [0x110000], ONE), "invalid glyph code point 0x110000"
+    ),
+    "surrogate code point": (
+        model_file(0, 0.1, ETAHS + [0xD800], ONE),
+        "glyph must be a single non-surrogate character, got '\\ud800'",
+    ),
+    "context id outside alphabet": (
+        model_file(1, 0.1, ETAHS, [((7,), [(1, 1)])]), "context (7,) is not 1 ids of the alphabet"
+    ),
+    "symbol id outside alphabet": (
+        model_file(0, 0.1, ETAHS, [((), [(7, 1)])]), "symbol id 7 outside alphabet"
+    ),
+    "order past MAX_ORDER": (
+        model_file(MAX_ORDER + 1, 0.1, ETAHS, [((1,) * (MAX_ORDER + 1), [(1, 1)])]),
+        f"order {MAX_ORDER + 1} is not in 0..{MAX_ORDER}",
+    ),
+    "retired RWC1 version": (
+        b"RWC1" + model_file(0, 0.1, ETAHS, ONE)[4:], "unsupported model version b'1'"
+    ),
+    "retired RWC2 file": (
+        rwc2_serialize(ContextModel(Alphabet(tuple("ETAHS")), 0, 0.1, {(): {1: 1}})),
+        "unsupported model version b'2'",
+    ),
+    "context listed twice": (
+        model_file(0, 0.1, ETAHS, [((), [(1, 1)]), ((), [(2, 1)])]), "a context is listed twice"
+    ),
+    "symbol listed twice": (
+        model_file(0, 0.1, ETAHS, [((), [(1, 1), (1, 2)])]), "context () lists a symbol twice"
+    ),
+    "column width 3": (
+        model_file(0, 0.1, ETAHS, ONE, widths=(1, 1, 1, 3, 1)),
+        "symbol column has width 3, not 1, 2, 4 or 8",
+    ),
+    "column wider than its items need": (
+        model_file(0, 0.1, ETAHS, ONE, widths=(1, 1, 1, 1, 8)),
+        "count column is wider than its largest item needs",
+    ),
+    "empty column wider than one byte": (
+        model_file(0, 0.1, ETAHS, ONE, widths=(1, 2, 1, 1, 1)),
+        "context id column is wider than its largest item needs",
+    ),
+    "row lengths sum past the file": (
+        model_file(0, 0.1, ETAHS, ONE, lengths=[2**40]), "model file truncated"
+    ),
+    # A reader that trusted either header would ask for memory far past the file.
+    "2**64-1 contexts in a short file": (
+        model_file(1, 0.1, ETAHS, [((1,), [(1, 1)])], n_ctx=2**64 - 1), "model file truncated"
+    ),
+    "order 2**32-1 with no contexts": (
+        model_file(2**32 - 1, 0.1, ETAHS, []), f"order {2**32 - 1} is not in 0..{MAX_ORDER}"
+    ),
 }
+HUGE_HEADERS = ("2**64-1 contexts in a short file", "order 2**32-1 with no contexts")
 
 
 def test_model_file_helper_writes_the_serialized_format():
     m = ContextModel(Alphabet(("E", "T")), 1, 0.1, {(0,): {1: 3}, (1,): {1: 1, 2: 2}})
     table = [((0,), [(1, 3)]), ((1,), [(1, 1), (2, 2)])]
     assert model_file(1, 0.1, [69, 84], table) == serialize_model(m)
+    assert model_file(1, 0.1, [69, 84], table, widths=(1,) * 5) == serialize_model(m)
 
 
 class TestAlpha:
@@ -203,11 +263,30 @@ class TestEncodeDecodeTrace:
     def test_hostile_model_exits_three(self, chain_files, capsys, case):
         tmp_path, _, text = chain_files
         bad = tmp_path / "bad.rwc"
-        bad.write_bytes(HOSTILE_MODELS[case])
+        blob, message = HOSTILE_MODELS[case]
+        bad.write_bytes(blob)
         code, out, err = run(capsys, "eval", str(bad), text)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: malformed model: ")
+        assert (code, out, err) == (3, "", f"error: malformed model: {message}\n")
+
+    @pytest.mark.parametrize("case", HUGE_HEADERS)
+    def test_huge_header_exits_three_within_a_gibibyte(self, chain_files, case):
+        # `rwc eval` in a process whose address space is capped at 1 GiB, so
+        # a reader that allocated what the header claims would fail otherwise.
+        tmp_path, _, text = chain_files
+        bad = tmp_path / "bad.rwc"
+        blob, message = HOSTILE_MODELS[case]
+        bad.write_bytes(blob)
+        capped = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from rwc.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(rwc.cli.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", capped, "eval", str(bad), text],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == f"error: malformed model: {message}\n"
 
     def test_character_outside_alphabet_exits_four(self, chain_files, capsys):
         tmp_path, model, _ = chain_files

@@ -24,7 +24,15 @@ from rwc.model import (
     train,
 )
 
-from oracles import dense, model_file, oracle_glyph_fault, oracle_tables, validate
+from oracles import (
+    dense,
+    model_file,
+    oracle_glyph_fault,
+    oracle_tables,
+    rwc2_parse,
+    rwc2_serialize,
+    validate,
+)
 
 
 class TestAlphabet:
@@ -293,6 +301,8 @@ class TestModelFile:
         data[3:4] = b"1"
         with pytest.raises(ModelFormatError, match=r"^unsupported model version b'1'$"):
             parse_model(bytes(data))
+        with pytest.raises(ModelFormatError, match=r"^unsupported model version b'2'$"):
+            parse_model(rwc2_serialize(train("AB", 0, 0.0)))
 
     def test_truncation(self):
         data = serialize_model(train("ABAB", 1, 0.0))
@@ -312,11 +322,12 @@ class TestModelFile:
         assert parse_model(serialize_model(m)) == m
 
     def test_only_the_order_k_table_is_stored(self):
-        # magic 4 + order 4 + smoothing 8 + glyph count 4 + 2 glyphs 8, then
-        # one u64 context count and 3 contexts of (2 ids, row length, one pair)
+        # magic 4 + order 4 + smoothing 8 + glyph count 4 + context count 8,
+        # then five columns of one-byte items, each after its width byte: 2
+        # glyphs, 3 contexts of 2 ids, and 3 row lengths, symbols and counts
         m = train("ABA", 2, 0.0)
         assert len(m.counts) == 3
-        assert len(serialize_model(m)) == 28 + 8 + 3 * (8 + 4 + 12)
+        assert len(serialize_model(m)) == 28 + (1 + 2) + (1 + 3 * 2) + 3 * (1 + 3) == 50
 
     @settings(max_examples=400)
     @given(
@@ -336,6 +347,9 @@ class TestModelFile:
         except ModelFormatError:
             return
         validate(predict(m, []))
+        # Every width is the narrowest and no entry repeats, so a blob that
+        # parses is as long as the model's own file.
+        assert len(serialize_model(m)) == len(damaged)
 
 
 @st.composite
@@ -371,6 +385,16 @@ class TestModelFileFormat:
         table = [(ctx, sorted(row.items())) for ctx, row in sorted(m.counts.items())]
         assert blob == model_file(m.order, m.smoothing, glyphs, table)
         assert parse_model(blob) == m
+
+    @settings(max_examples=300)
+    @given(models())
+    def test_columns_cost_at_most_their_width_bytes_over_rwc2(self, m):
+        # RWC2's records are the oracle: both formats hold the same model, and
+        # RWC3's only overhead is one width byte per column.
+        blob, old = serialize_model(m), rwc2_serialize(m)
+        assert parse_model(blob) == m
+        assert rwc2_parse(old) == m
+        assert len(blob) <= len(old) + 5
 
 
 class TestFromCounts:
