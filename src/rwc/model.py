@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
+import zlib
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -29,8 +30,11 @@ MAX_ORDER = 8
 MAX_COUNT = 2**64 - 1  # a count must fit an 8-byte item, a model file's widest
 
 _MAGIC = b"RWC"
-_VERSION = b"3"
+_VERSION = b"4"
 _HEADER = struct.Struct("<IdIQ")  # order, smoothing, glyph count, context count
+# Deflate's largest expansion: one stream byte inflates to at most 1,032 bytes
+# (two 1-bit codes for a 258-byte match).
+_INFLATE_RATIO = 1032
 _WIDTHS = (1, 2, 4, 8)  # the item widths, in bytes, that a model file's column may have
 # The array typecode of each width, picked by itemsize, since C leaves the
 # sizes of "H", "I" and "L" to the platform.
@@ -318,15 +322,18 @@ def _read_column(data: bytes, pos: int, count: int, name: str) -> tuple[array, i
 
 
 def serialize_model(model: ContextModel) -> bytes:
-    """Serialize to the versioned "RWC3" little-endian format.
+    """Serialize to the versioned "RWC4" little-endian format.
 
     Layout: magic, then order (u32), smoothing (f64), glyph count (u32) and
-    context count (u64), then five columns: the glyph code points, the sorted
-    contexts' ids one after another, the row lengths, each row's symbols in
-    ascending order, and their counts. Each column is a width byte w in
-    {1, 2, 4, 8}, the narrowest that holds its largest item, then its items
-    as w-byte unsigned ints. Lower orders are derived on load, so they are not
-    stored. Contexts and rows are sorted, so serialization is deterministic.
+    context count (u64), then a zlib stream (deflate at level 1) of five
+    columns: the glyph code points, the sorted contexts' ids one after
+    another, the row lengths, each row's symbols in ascending order, and
+    their counts. Each column is a width byte w in {1, 2, 4, 8}, the
+    narrowest that holds its largest item, then its items as w-byte unsigned
+    ints. The header stays outside the stream, so a reader can bound what the
+    stream may inflate to before inflating it. Lower orders are derived on
+    load, so they are not stored. Contexts and rows are sorted, so
+    serialization is deterministic.
     """
     k, glyphs, table = model.order, model.alphabet.glyphs, model.counts
     contexts = sorted(table)
@@ -335,14 +342,15 @@ def serialize_model(model: ContextModel) -> bytes:
     syms = list(chain.from_iterable(map(sorted, rows)))
     counts = map(dict.__getitem__, chain.from_iterable(map(repeat, rows, lengths)), syms)
     # Each column's list is dropped once it is packed, before the next is built.
-    return b"".join([
-        _MAGIC + _VERSION + _HEADER.pack(k, model.smoothing, len(glyphs), len(table)),
+    columns = b"".join([
         _column(list(map(ord, glyphs))),
         _column(list(chain.from_iterable(contexts))),
         _column(lengths),
         _column(syms),
         _column(list(counts)),
     ])
+    header = _MAGIC + _VERSION + _HEADER.pack(k, model.smoothing, len(glyphs), len(table))
+    return header + zlib.compress(columns, 1)
 
 
 def parse_model(data: bytes) -> ContextModel:
@@ -358,13 +366,32 @@ def parse_model(data: bytes) -> ContextModel:
     order, smoothing, n_glyphs, n_ctx = _HEADER.unpack_from(data, 4)
     if order > MAX_ORDER:  # before the ids are split into `order`-tuples
         raise ModelFormatError(f"order {order} is not in 0..{MAX_ORDER}")
-    code_points, pos = _read_column(data, 4 + _HEADER.size, n_glyphs, "glyph")
-    ids, pos = _read_column(data, pos, n_ctx * order, "context id")
-    lengths, pos = _read_column(data, pos, n_ctx, "row length")
+    stream = data[4 + _HEADER.size :]
+    # The columns the header allows are at least 5 width bytes and one-byte
+    # items with one symbol a row, and at most eight-byte items with full rows.
+    least = 5 + n_glyphs + n_ctx * (order + 3)
+    most = 5 + 8 * (n_glyphs + n_ctx * (order + 1) + 2 * n_ctx * n_glyphs)
+    if least > _INFLATE_RATIO * len(stream):  # no stream this short inflates that far
+        raise ModelFormatError("model file truncated")
+    inflater = zlib.decompressobj()
+    # One byte past both bounds, so that only a stream that inflates further
+    # leaves a tail; a max_length of 0 would mean no limit.
+    bound = min(most, _INFLATE_RATIO * (len(stream) + 1)) + 1
+    try:
+        body = inflater.decompress(stream, bound)
+    except zlib.error as exc:  # a bad check value among them
+        raise ModelFormatError(f"damaged compressed body: {exc}") from None
+    if inflater.unconsumed_tail or inflater.unused_data:
+        raise ModelFormatError("trailing data after model")
+    if not inflater.eof:
+        raise ModelFormatError("model file truncated")
+    code_points, pos = _read_column(body, 0, n_glyphs, "glyph")
+    ids, pos = _read_column(body, pos, n_ctx * order, "context id")
+    lengths, pos = _read_column(body, pos, n_ctx, "row length")
     n_pairs = sum(lengths)
-    syms, pos = _read_column(data, pos, n_pairs, "symbol")
-    counts, pos = _read_column(data, pos, n_pairs, "count")
-    if pos != len(data):
+    syms, pos = _read_column(body, pos, n_pairs, "symbol")
+    counts, pos = _read_column(body, pos, n_pairs, "count")
+    if pos != len(body):
         raise ModelFormatError("trailing data after model")
     # Columns of 1 or 2 bytes hold only code points below 0x10000.
     if code_points.itemsize > 2 and max(code_points) > sys.maxunicode:
@@ -377,7 +404,13 @@ def parse_model(data: bytes) -> ContextModel:
     if sum(map(len, rows)) != n_pairs:
         ctx = next(ctx for ctx, row, n in zip(table, rows, lengths) if len(row) != n)
         raise ModelFormatError(f"context {ctx} lists a symbol twice")
+    # A one-byte column is Latin-1 text, whose decode in C takes a third of
+    # the time of a `chr` per glyph; it offsets part of the inflate's cost.
+    if code_points.itemsize == 1:
+        glyphs = tuple(code_points.tobytes().decode("latin-1"))
+    else:
+        glyphs = tuple(map(chr, code_points))
     try:  # the constructors refuse the rest, surrogate glyphs included
-        return ContextModel(Alphabet(tuple(map(chr, code_points))), order, smoothing, table)
+        return ContextModel(Alphabet(glyphs), order, smoothing, table)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None

@@ -9,13 +9,17 @@ that a distribution is a probability distribution, and `uniform_byte_model`
 is the order-0 model of uniformly random bytes. `oracle_glyph_fault` and
 `oracle_tables` check glyphs and a count table entry by entry, as
 `Alphabet` and `ContextModel` did before they checked in bulk.
-`model_file` writes an RWC3 model file entry by entry, with any column
-widths. `rwc2_serialize` and `rwc2_parse` write and read the retired RWC2
-format, whose per-context records RWC3's columns replaced.
+`rwc3_file` writes the retired RWC3 model file entry by entry, with any
+column widths, and `model_file` writes the RWC4 file that holds the same
+columns deflated, so RWC3's columns are the inflated body of an RWC4 file.
+`compress_bound` is zlib's `compressBound`, the longest a zlib stream of
+that many bytes can be. `rwc2_serialize` and `rwc2_parse` write and read
+the retired RWC2 format, whose per-context records RWC3's columns replaced.
 """
 
 import math
 import struct
+import zlib
 from functools import reduce
 from operator import add
 
@@ -140,7 +144,7 @@ def oracle_tables(n: int, k: int, counts: dict) -> list[dict]:
     return tables
 
 
-def model_file(order, smoothing, code_points, table, widths=None, n_ctx=None, lengths=None):
+def rwc3_file(order, smoothing, code_points, table, widths=None, n_ctx=None, lengths=None):
     """An RWC3 model file written entry by entry, so that it can hold what no
     valid model serializes to. `table` lists (context, [(symbol, count)]).
     `widths` gives the five columns' width bytes; each left out is the
@@ -162,6 +166,20 @@ def model_file(order, smoothing, code_points, table, widths=None, n_ctx=None, le
         for item in column:
             out += item.to_bytes(width, "little")
     return out
+
+
+def model_file(*args, **kwargs):
+    """The RWC4 model file of `rwc3_file(*args, **kwargs)`: its magic with
+    version 4, its 24-byte header, then its columns under `zlib.compress` at
+    level 1."""
+    rwc3 = rwc3_file(*args, **kwargs)
+    return b"RWC4" + rwc3[4:28] + zlib.compress(rwc3[28:], 1)
+
+
+def compress_bound(n):
+    """zlib's `compressBound(n)`: the most bytes `zlib.compress` writes for n
+    bytes at any level."""
+    return n + (n >> 12) + (n >> 14) + (n >> 25) + 13
 
 
 def rwc2_serialize(model: ContextModel) -> bytes:

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import zlib
 from pathlib import Path
 
 import pytest
@@ -32,7 +34,7 @@ from rwc.model import (
 )
 from rwc.rewind import render_trace
 
-from oracles import model_file, rwc2_serialize
+from oracles import model_file, rwc2_serialize, rwc3_file
 
 
 @pytest.fixture()
@@ -52,6 +54,19 @@ def run(capsys, *argv):
 
 ETAHS = [ord(g) for g in "ETAHS"]  # covers the chain_files document
 ONE = [((), [(1, 1)])]  # an order-0 table of one count
+SMALL = model_file(0, 0.1, ETAHS, ONE)
+MIB = 1 << 20
+
+
+def deflated_bomb(n_ctx, columns, mebibytes):
+    """An order-0 RWC4 file whose header claims `n_ctx` contexts over ETAHS,
+    and whose stream inflates to `columns` and then `mebibytes` MiB of zeros."""
+    packer = zlib.compressobj(9)
+    zeros = bytes(MIB)
+    stream = packer.compress(columns) + b"".join(packer.compress(zeros) for _ in range(mebibytes))
+    return model_file(0, 0.1, ETAHS, ONE, n_ctx=n_ctx)[:28] + stream + packer.flush()
+
+
 # Each hostile model file, and the message it is refused with.
 HOSTILE_MODELS = {
     "infinite smoothing": (
@@ -126,8 +141,28 @@ HOSTILE_MODELS = {
     "order 2**32-1 with no contexts": (
         model_file(2**32 - 1, 0.1, ETAHS, []), f"order {2**32 - 1} is not in 0..{MAX_ORDER}"
     ),
+    "retired RWC3 file": (rwc3_file(0, 0.1, ETAHS, ONE), "unsupported model version b'3'"),
+    "bad Adler-32": (
+        SMALL[:-1] + bytes([SMALL[-1] ^ 1]),
+        "damaged compressed body: Error -3 while decompressing data: incorrect data check",
+    ),
+    "bytes after the stream": (SMALL + b"\0", "trailing data after model"),
+    # Eight-byte items and full rows: the longest columns this header allows,
+    # which inflate in full and are refused only for their widths.
+    "columns exactly as long as the header allows": (
+        model_file(0, 0.1, [2**32], [((), [(1, 2**32)])], widths=(8,) * 5),
+        "context id column is wider than its largest item needs",
+    ),
+    # A reader that inflated without a bound would hold 100 MiB, or 50 MiB.
+    "stream inflates 100 MiB past its columns": (
+        deflated_bomb(1, rwc3_file(0, 0.1, ETAHS, ONE)[28:], 100), "trailing data after model"
+    ),
+    "2**40 contexts over 50 MiB of zeros": (
+        deflated_bomb(2**40, b"", 50), "model file truncated"
+    ),
 }
 HUGE_HEADERS = ("2**64-1 contexts in a short file", "order 2**32-1 with no contexts")
+BOMBS = ("stream inflates 100 MiB past its columns", "2**40 contexts over 50 MiB of zeros")
 
 
 def test_model_file_helper_writes_the_serialized_format():
@@ -287,6 +322,21 @@ class TestEncodeDecodeTrace:
         )
         assert (done.returncode, done.stdout) == (3, "")
         assert done.stderr == f"error: malformed model: {message}\n"
+
+    @pytest.mark.parametrize("case", BOMBS)
+    def test_bomb_is_refused_within_a_mebibyte(self, case):
+        # The 2**40-context header is refused before inflating, and the
+        # other stream is inflated only to the columns its header allows.
+        blob, message = HOSTILE_MODELS[case]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError) as caught:
+                parse_model(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == message
+        assert peak < MIB
 
     def test_character_outside_alphabet_exits_four(self, chain_files, capsys):
         tmp_path, model, _ = chain_files

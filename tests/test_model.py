@@ -1,5 +1,6 @@
 import copy
 import math
+import zlib
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,12 +26,14 @@ from rwc.model import (
 )
 
 from oracles import (
+    compress_bound,
     dense,
     model_file,
     oracle_glyph_fault,
     oracle_tables,
     rwc2_parse,
     rwc2_serialize,
+    rwc3_file,
     validate,
 )
 
@@ -281,6 +284,9 @@ class TestModelFile:
     def test_roundtrip_identity(self):
         m = train("ETATEETTT ESHTA", 2, 0.1)
         assert parse_model(serialize_model(m)) == m
+        # All 256 one-byte code points, which the reader decodes as Latin-1.
+        latin1 = train(bytes(range(256)).decode("latin-1"), 1, 0.1)
+        assert parse_model(serialize_model(latin1)) == latin1
 
     def test_serialize_is_deterministic(self):
         m = train("THE CAT SAT", 1, 0.0)
@@ -303,6 +309,8 @@ class TestModelFile:
             parse_model(bytes(data))
         with pytest.raises(ModelFormatError, match=r"^unsupported model version b'2'$"):
             parse_model(rwc2_serialize(train("AB", 0, 0.0)))
+        with pytest.raises(ModelFormatError, match=r"^unsupported model version b'3'$"):
+            parse_model(rwc3_file(0, 0.0, [65, 66], [((), [(1, 1), (2, 1)])]))
 
     def test_truncation(self):
         data = serialize_model(train("ABAB", 1, 0.0))
@@ -324,10 +332,12 @@ class TestModelFile:
     def test_only_the_order_k_table_is_stored(self):
         # magic 4 + order 4 + smoothing 8 + glyph count 4 + context count 8,
         # then five columns of one-byte items, each after its width byte: 2
-        # glyphs, 3 contexts of 2 ids, and 3 row lengths, symbols and counts
+        # glyphs, 3 contexts of 2 ids, and 3 row lengths, symbols and counts,
+        # all deflated after the header
         m = train("ABA", 2, 0.0)
         assert len(m.counts) == 3
-        assert len(serialize_model(m)) == 28 + (1 + 2) + (1 + 3 * 2) + 3 * (1 + 3) == 50
+        columns = zlib.decompress(serialize_model(m)[28:])
+        assert 28 + len(columns) == 28 + (1 + 2) + (1 + 3 * 2) + 3 * (1 + 3) == 50
 
     @settings(max_examples=400)
     @given(
@@ -390,11 +400,18 @@ class TestModelFileFormat:
     @given(models())
     def test_columns_cost_at_most_their_width_bytes_over_rwc2(self, m):
         # RWC2's records are the oracle: both formats hold the same model, and
-        # RWC3's only overhead is one width byte per column.
+        # the inflated columns' only overhead is one width byte per column.
         blob, old = serialize_model(m), rwc2_serialize(m)
         assert parse_model(blob) == m
         assert rwc2_parse(old) == m
-        assert len(blob) <= len(old) + 5
+        assert 28 + len(zlib.decompress(blob[28:])) <= len(old) + 5
+
+    @settings(max_examples=300)
+    @given(models())
+    def test_file_is_at_most_the_header_and_a_deflated_bound(self, m):
+        # Incompressible columns cost at most zlib's own bound over the 28-byte header.
+        blob = serialize_model(m)
+        assert len(blob) <= 28 + compress_bound(len(zlib.decompress(blob[28:])))
 
 
 class TestFromCounts:
