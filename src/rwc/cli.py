@@ -132,8 +132,11 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = parse_model(_read_bytes(args.model))
-    report, _ = evaluate(model, SelectorParams.default(), _read_text(args.text))
+    blob = _read_bytes(args.model)
+    model = parse_model(blob)
+    text = _read_text(args.text)
+    # Charge the file as read, not a re-serialization of the model.
+    report, _ = evaluate(model, SelectorParams.default(), text, model_bytes=len(blob))
     for line in report.lines():
         print(line)
     return 0

@@ -95,11 +95,14 @@ def evaluate(
     text: str,
     *,
     lossless: bool = False,
+    model_bytes: int | None = None,
 ) -> tuple[ScoreReport, DecodeTrace]:
     """Encode, decode with reveals, and score one document.
 
     The decode walks the same contexts as the encode, so both share one plan
-    cache and each plan is built once.
+    cache and each plan is built once. `model_bytes` is the size of the model
+    file the score charges; a caller that holds that file passes its length,
+    and otherwise the model is serialized to take it.
     """
     plans = _PlanCache(model, params, lossless)
     hints, report = encode_document(model, params, text, lossless=lossless, plans=plans)
@@ -112,7 +115,7 @@ def evaluate(
         ScoreReport(
             hint_bytes=hints.byte_length,
             errors=trace.errors,
-            model_bytes=len(serialize_model(model)),
+            model_bytes=len(serialize_model(model)) if model_bytes is None else model_bytes,
             kept=report.kept,
         ),
         trace,

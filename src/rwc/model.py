@@ -16,6 +16,7 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -256,14 +257,21 @@ def train(
         raise ValueError(f"order {order} is not in 0..{MAX_ORDER}")
     if alphabet is None:
         alphabet = build_alphabet(corpus)
+    ids = alphabet.encode(corpus)
+    ids[:0] = (BOS,) * order
+    # Tally every window in C. A Counter keeps each window where it was first
+    # seen, so contexts, and the symbols of each row, come out in the order a
+    # left-to-right scan meets them.
+    windows = Counter(zip(*[islice(ids, j, None) for j in range(order + 1)]))
+    del ids  # each input is dropped once used, to keep the peak down
     counts: Table = {}
-    ctx = (BOS,) * order
-    for sym in alphabet.encode(corpus):
+    for window, c in windows.items():
+        ctx = window[:-1]
         row = counts.get(ctx)
         if row is None:
             row = counts[ctx] = {}
-        row[sym] = row.get(sym, 0) + 1
-        ctx = (ctx + (sym,))[1:]
+        row[window[-1]] = c
+    del windows
     return ContextModel(alphabet, order, smoothing, counts)
 
 

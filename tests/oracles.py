@@ -12,9 +12,11 @@ is the order-0 model of uniformly random bytes. `oracle_glyph_fault` and
 `rwc3_file` writes the retired RWC3 model file entry by entry, with any
 column widths, and `model_file` writes the RWC4 file that holds the same
 columns deflated, so RWC3's columns are the inflated body of an RWC4 file.
-`compress_bound` is zlib's `compressBound`, the longest a zlib stream of
-that many bytes can be. `rwc2_serialize` and `rwc2_parse` write and read
-the retired RWC2 format, whose per-context records RWC3's columns replaced.
+`oracle_train` counts a corpus one character at a time, as `train` did
+before it tallied windows in bulk. `compress_bound` is zlib's
+`compressBound`, the longest a zlib stream of that many bytes can be.
+`rwc2_serialize` and `rwc2_parse` write and read the retired RWC2 format,
+whose per-context records RWC3's columns replaced.
 """
 
 import math
@@ -24,7 +26,15 @@ from functools import reduce
 from operator import add
 
 from rwc.harness import ChainSource, model_from_chain
-from rwc.model import MAX_COUNT, Alphabet, ContextModel, Distribution
+from rwc.model import (
+    BOS,
+    MAX_COUNT,
+    MAX_ORDER,
+    Alphabet,
+    ContextModel,
+    Distribution,
+    build_alphabet,
+)
 from rwc.selector import KeptSet, solve_alpha, subset_cost
 
 # Thresholds a selection is tried at: the objective's, the lossless 0, and
@@ -142,6 +152,27 @@ def oracle_tables(n: int, k: int, counts: dict) -> list[dict]:
             for sym, c in row.items():
                 bucket[sym] = bucket.get(sym, 0) + c
     return tables
+
+
+def oracle_train(corpus: str, order: int, smoothing: float, alphabet: Alphabet | None = None):
+    """`train`'s model, counted one character at a time: a context rolls
+    along the BOS-padded corpus, and each context and each symbol of a row
+    is inserted where the scan first meets it."""
+    if not corpus:
+        raise ValueError("empty corpus")
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"order {order} is not in 0..{MAX_ORDER}")
+    if alphabet is None:
+        alphabet = build_alphabet(corpus)
+    counts = {}
+    ctx = (BOS,) * order
+    for sym in alphabet.encode(corpus):
+        row = counts.get(ctx)
+        if row is None:
+            row = counts[ctx] = {}
+        row[sym] = row.get(sym, 0) + 1
+        ctx = (ctx + (sym,))[1:]
+    return ContextModel(alphabet, order, smoothing, counts)
 
 
 def rwc3_file(order, smoothing, code_points, table, widths=None, n_ctx=None, lengths=None):

@@ -425,6 +425,20 @@ class TestScoreEval:
         assert "kept=8" in out
         assert "skipped=1" in out
 
+    def test_eval_charges_the_model_file_as_read(self, chain_files, capsys):
+        # A valid RWC4 file deflated at level 9 is shorter than the level-1
+        # file that `serialize_model` would write for the same model.
+        tmp_path, _, text = chain_files
+        table = [((i,), [(s, 1 + (7 * i + s) % 5) for s in range(1, 6)]) for i in range(6)]
+        rwc3 = rwc3_file(1, 0.1, ETAHS, table)
+        blob = b"RWC4" + rwc3[4:28] + zlib.compress(rwc3[28:], 9)
+        assert len(serialize_model(parse_model(blob))) > len(blob)
+        path = tmp_path / "level9.rwc"
+        path.write_bytes(blob)
+        code, out, _ = run(capsys, "eval", str(path), text)
+        assert code == 0
+        assert f"model_bytes={len(blob)}" in out.split()
+
     def test_files_match_in_process_evaluation(self, chain_files, capsys, params):
         tmp_path, model_path, text = chain_files
         hints = tmp_path / "doc.hints"

@@ -3,7 +3,7 @@ import math
 import zlib
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rwc.model import (
@@ -31,6 +31,7 @@ from oracles import (
     model_file,
     oracle_glyph_fault,
     oracle_tables,
+    oracle_train,
     rwc2_parse,
     rwc2_serialize,
     rwc3_file,
@@ -162,9 +163,12 @@ class TestTrain:
         st.sampled_from([0.0, 0.1, 1.0]),
         st.booleans(),
     )
+    @example("\U0001f600", MAX_ORDER, 0.1, False)  # shorter than k: one padded context
+    @example("AB", 3, 0.1, True)
+    @example("ABABBA", 0, 0.0, True)
     def test_rolling_context_counts_as_slicing_windows(self, corpus, k, beta, explicit):
-        # `train` carries its context from window to window; this copy slices
-        # every window out of the padded corpus instead.
+        # `train` tallies every window at once; this copy slices each window
+        # out of the padded corpus and counts it on its own.
         def slicing_train(corpus, order, smoothing, alphabet):
             ids = alphabet.encode(corpus)
             padded = [BOS] * order + ids
@@ -174,12 +178,31 @@ class TestTrain:
                 row[sym] = row.get(sym, 0) + 1
             return ContextModel(alphabet, order, smoothing, counts)
 
+        # `==` on dicts ignores their order, so each table is laid out as
+        # (context, [(symbol, count), ...]) in its own iteration order.
+        def layout(model):
+            return [[(ctx, list(row.items())) for ctx, row in t.items()] for t in model.tables]
+
         # an explicit alphabet reserves glyphs the corpus lacks, in its own order
         alphabet = Alphabet(("\U0010fffd", *sorted(set(corpus), reverse=True))) if explicit else None
         m = train(corpus, k, beta, alphabet=alphabet)
-        oracle = slicing_train(corpus, k, beta, m.alphabet)
-        assert m == oracle
-        assert serialize_model(m) == serialize_model(oracle)
+        for oracle in (
+            slicing_train(corpus, k, beta, m.alphabet),
+            oracle_train(corpus, k, beta, alphabet),
+        ):
+            assert m == oracle
+            assert serialize_model(m) == serialize_model(oracle)
+            assert layout(m) == layout(oracle)
+
+    @given(st.text(alphabet="ABé\U0001f600", min_size=1, max_size=40), st.integers(0, MAX_ORDER))
+    def test_unknown_character_is_named_where_the_loop_meets_it(self, corpus, k):
+        assume(set(corpus) - {"A", "B"})
+        alphabet = Alphabet(("B", "A"))
+        with pytest.raises(UnknownCharacterError) as got:
+            train(corpus, k, 0.1, alphabet=alphabet)
+        with pytest.raises(UnknownCharacterError) as want:
+            oracle_train(corpus, k, 0.1, alphabet=alphabet)
+        assert (got.value.char, got.value.position) == (want.value.char, want.value.position)
 
 
 class TestPredict:
