@@ -31,7 +31,7 @@ MAX_ORDER = 8
 MAX_COUNT = 2**64 - 1  # a count must fit an 8-byte item, a model file's widest
 
 _MAGIC = b"RWC"
-_VERSION = b"4"
+_VERSION = b"5"
 _HEADER = struct.Struct("<IdIQ")  # order, smoothing, glyph count, context count
 # Deflate's largest expansion: one stream byte inflates to at most 1,032 bytes
 # (two 1-bit codes for a 258-byte match).
@@ -301,12 +301,15 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
 
 def _column(items: list[int]) -> bytes:
     """A column: a width byte, then `items` as little-endian unsigned ints of
-    that width, the narrowest that holds the largest item."""
+    that width, the narrowest that holds the largest item, in byte planes:
+    every item's lowest byte, then every item's next byte, and so on."""
     i = bisect_left(_WIDTHS, (max(items, default=0).bit_length() + 7) // 8)
+    width = _WIDTHS[i]
     col = array(_TYPECODES[i], items)
     if sys.byteorder == "big":
         col.byteswap()
-    return bytes((_WIDTHS[i],)) + col.tobytes()
+    raw = col.tobytes()
+    return bytes((width,)) + b"".join([raw[j::width] for j in range(width)])
 
 
 def _read_column(data: bytes, pos: int, count: int, name: str) -> tuple[array, int]:
@@ -319,10 +322,12 @@ def _read_column(data: bytes, pos: int, count: int, name: str) -> tuple[array, i
     end = pos + 1 + width * count
     if end > len(data):  # before reading: a count past the file is a truncation
         raise ModelFormatError("model file truncated")
-    raw = data[pos + 1 : end]
-    # Half the width would do when the upper half of every item is zero bytes.
-    if width > 1 and not any(raw[j::width].strip(b"\0") for j in range(width // 2, width)):
+    # Half the width would do when the upper half of the planes is all zero bytes.
+    if width > 1 and not data[pos + 1 + width // 2 * count : end].strip(b"\0"):
         raise ModelFormatError(f"{name} column is wider than its largest item needs")
+    raw = bytearray(width * count)
+    for j in range(width):  # interleave the planes back into little-endian items
+        raw[j::width] = data[pos + 1 + j * count : pos + 1 + (j + 1) * count]
     items = array(_TYPECODES[_WIDTHS.index(width)], raw)
     if sys.byteorder == "big":
         items.byteswap()
@@ -330,18 +335,21 @@ def _read_column(data: bytes, pos: int, count: int, name: str) -> tuple[array, i
 
 
 def serialize_model(model: ContextModel) -> bytes:
-    """Serialize to the versioned "RWC4" little-endian format.
+    """Serialize to the versioned "RWC5" little-endian format.
 
     Layout: magic, then order (u32), smoothing (f64), glyph count (u32) and
     context count (u64), then a zlib stream (deflate at level 1) of five
-    columns: the glyph code points, the sorted contexts' ids one after
-    another, the row lengths, each row's symbols in ascending order, and
-    their counts. Each column is a width byte w in {1, 2, 4, 8}, the
-    narrowest that holds its largest item, then its items as w-byte unsigned
-    ints. The header stays outside the stream, so a reader can bound what the
-    stream may inflate to before inflating it. Lower orders are derived on
-    load, so they are not stored. Contexts and rows are sorted, so
-    serialization is deterministic.
+    columns: the glyph code points, the sorted contexts' ids column-major
+    (every context's first id, then every context's second id, and so on),
+    the row lengths, each row's symbols in ascending order, and their
+    counts. Each column is a width byte w in {1, 2, 4, 8}, the narrowest that
+    holds its largest item, then its items as w-byte unsigned ints in byte
+    planes: every item's lowest byte, then every item's next byte, and so
+    on. Sorted contexts and planes of like bytes give deflate long runs. The
+    header stays outside the stream, so a reader can bound what the stream
+    may inflate to before inflating it. Lower orders are derived on load, so
+    they are not stored. Contexts and rows are sorted, so serialization is
+    deterministic.
     """
     k, glyphs, table = model.order, model.alphabet.glyphs, model.counts
     contexts = sorted(table)
@@ -349,10 +357,11 @@ def serialize_model(model: ContextModel) -> bytes:
     lengths = list(map(len, rows))
     syms = list(chain.from_iterable(map(sorted, rows)))
     counts = map(dict.__getitem__, chain.from_iterable(map(repeat, rows, lengths)), syms)
+    ids = list(chain.from_iterable(contexts))
     # Each column's list is dropped once it is packed, before the next is built.
     columns = b"".join([
         _column(list(map(ord, glyphs))),
-        _column(list(chain.from_iterable(contexts))),
+        _column(list(chain.from_iterable([ids[j::k] for j in range(k)]))),  # column-major
         _column(lengths),
         _column(syms),
         _column(list(counts)),
@@ -404,7 +413,9 @@ def parse_model(data: bytes) -> ContextModel:
     # Columns of 1 or 2 bytes hold only code points below 0x10000.
     if code_points.itemsize > 2 and max(code_points) > sys.maxunicode:
         raise ModelFormatError(f"invalid glyph code point {max(code_points):#x}")
-    contexts = zip(*[iter(ids)] * order) if order else repeat((), n_ctx)
+    # The ids are column-major: the j-th run of n_ctx ids holds each context's j-th id.
+    runs = [ids[j * n_ctx : (j + 1) * n_ctx] for j in range(order)]
+    contexts = zip(*runs) if order else repeat((), n_ctx)
     rows = list(map(dict, map(islice, repeat(zip(syms, counts)), lengths)))
     table: Table = dict(zip(contexts, rows))
     if len(table) != n_ctx:

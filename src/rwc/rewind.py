@@ -242,12 +242,23 @@ def decode_text(
 
     This is the exact inverse of encode_document only when its report had
     `skipped == 0`, which `lossless` alone does not ensure. A skipped
-    character decodes as some other guess, and nothing here can tell.
+    character decodes as some other guess, and nothing here can tell. A
+    guess taken as true is never rewound, so each position is decoded once,
+    with no checkpoint.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    session = DecoderSession(model, params, hints, lossless=lossless)
-    return "".join([session.reveal(session.next_guess()).guessed for _ in range(n)])
+    plans = _PlanCache(model, params, lossless)
+    decode = Decoder(hints.payload).decode
+    glyphs = model.alphabet.glyphs  # id i is glyphs[i - 1]; plans never keep id 0
+    ctx = context_key(model.order, ())
+    out = []
+    for _ in range(n):
+        members, table, _ = plans[ctx]
+        sym = members[decode(table)]
+        out.append(glyphs[sym - 1])
+        ctx = (ctx + (sym,))[1:]
+    return "".join(out)
 
 
 def render_guess_line(trace: DecodeTrace, ansi: bool = False) -> str:

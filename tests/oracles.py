@@ -10,8 +10,10 @@ is the order-0 model of uniformly random bytes. `oracle_glyph_fault` and
 `oracle_tables` check glyphs and a count table entry by entry, as
 `Alphabet` and `ContextModel` did before they checked in bulk.
 `rwc3_file` writes the retired RWC3 model file entry by entry, with any
-column widths, and `model_file` writes the RWC4 file that holds the same
-columns deflated, so RWC3's columns are the inflated body of an RWC4 file.
+column widths, and `rwc4_file` the retired RWC4 file that holds the same
+columns deflated. `model_body` writes the columns of an RWC5 file entry by
+entry, its contexts column-major and each column in byte planes, and
+`model_file` writes the RWC5 file that holds them deflated.
 `oracle_train` counts a corpus one character at a time, as `train` did
 before it tallied windows in bulk. `compress_bound` is zlib's
 `compressBound`, the longest a zlib stream of that many bytes can be.
@@ -199,12 +201,48 @@ def rwc3_file(order, smoothing, code_points, table, widths=None, n_ctx=None, len
     return out
 
 
-def model_file(*args, **kwargs):
-    """The RWC4 model file of `rwc3_file(*args, **kwargs)`: its magic with
-    version 4, its 24-byte header, then its columns under `zlib.compress` at
-    level 1."""
+def rwc4_file(*args, **kwargs):
+    """The retired RWC4 model file of `rwc3_file(*args, **kwargs)`: its magic
+    with version 4, its 24-byte header, then its columns under
+    `zlib.compress` at level 1."""
     rwc3 = rwc3_file(*args, **kwargs)
     return b"RWC4" + rwc3[4:28] + zlib.compress(rwc3[28:], 1)
+
+
+def model_body(code_points, table, widths=None, lengths=None):
+    """The five columns of an RWC5 file, written entry by entry: the glyph
+    code points, every context's first id, then every context's second id
+    and so on, the row lengths, the symbols and the counts. Each column is
+    its width byte, then every item's lowest byte, then every item's next
+    byte, and so on. `table`, `widths` and `lengths` are as in `rwc3_file`."""
+    contexts = [ctx for ctx, _ in table]
+    order = len(contexts[0]) if contexts else 0
+    columns = [
+        list(code_points),
+        [ctx[j] for j in range(order) for ctx in contexts],
+        [len(row) for _, row in table] if lengths is None else lengths,
+        [sym for _, row in table for sym, _ in row],
+        [count for _, row in table for _, count in row],
+    ]
+    if widths is None:
+        widths = [min(w for w in (1, 2, 4, 8) if all(x < 256**w for x in col)) for col in columns]
+    out = b""
+    for width, column in zip(widths, columns):
+        out += bytes([width])
+        for plane in range(width):
+            out += bytes(item.to_bytes(width, "little")[plane] for item in column)
+    return out
+
+
+def model_file(order, smoothing, code_points, table, widths=None, n_ctx=None, lengths=None,
+               level=1):
+    """An RWC5 model file: its magic with version 5, the 24-byte header of
+    `rwc3_file`, then `model_body(code_points, table, widths, lengths)` under
+    `zlib.compress` at `level`, so that it can hold what no valid model
+    serializes to."""
+    n_ctx = len(table) if n_ctx is None else n_ctx
+    header = b"RWC5" + struct.pack("<IdIQ", order, smoothing, len(code_points), n_ctx)
+    return header + zlib.compress(model_body(code_points, table, widths, lengths), level)
 
 
 def compress_bound(n):

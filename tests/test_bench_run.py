@@ -53,7 +53,7 @@ def assert_model_cost(tmp_path, workload, model_bytes, score_with_model):
 
 def test_traced_lossless_run_is_correct(tmp_path):
     assert traced_run(tmp_path, "bytes-lossless")["selector.kept_mean"] == 256
-    assert_model_cost(tmp_path, "bytes-lossless", 1_048, 22_104)
+    assert_model_cost(tmp_path, "bytes-lossless", 590, 21_188)
 
 
 def test_traced_evaluate_builds_each_text_plan_once(tmp_path):
@@ -66,7 +66,7 @@ def test_traced_evaluate_builds_each_text_plan_once(tmp_path):
     # walk still decodes every position.
     assert metrics["coder.encode.calls"] == 3_206
     assert metrics["coder.decode.calls"] == 12_778
-    assert_model_cost(tmp_path, "text-k4", 85_002, 173_361)
+    assert_model_cost(tmp_path, "text-k4", 65_512, 134_381)
 
 
 def test_traced_chain_run_counts_each_rewind(tmp_path):
@@ -77,4 +77,4 @@ def test_traced_chain_run_counts_each_rewind(tmp_path):
     assert metrics["coder.encode.calls"] == 9_800
     assert metrics["coder.decode.calls"] == 10_000
     assert metrics["coder.restore.calls"] == metrics["rewind.rewinds"] == 198
-    assert_model_cost(tmp_path, "chain-k2", 157, 2_962)
+    assert_model_cost(tmp_path, "chain-k2", 151, 2_950)

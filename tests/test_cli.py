@@ -34,7 +34,7 @@ from rwc.model import (
 )
 from rwc.rewind import render_trace
 
-from oracles import model_file, rwc2_serialize, rwc3_file
+from oracles import model_body, model_file, rwc2_serialize, rwc3_file, rwc4_file
 
 
 @pytest.fixture()
@@ -59,7 +59,7 @@ MIB = 1 << 20
 
 
 def deflated_bomb(n_ctx, columns, mebibytes):
-    """An order-0 RWC4 file whose header claims `n_ctx` contexts over ETAHS,
+    """An order-0 RWC5 file whose header claims `n_ctx` contexts over ETAHS,
     and whose stream inflates to `columns` and then `mebibytes` MiB of zeros."""
     packer = zlib.compressobj(9)
     zeros = bytes(MIB)
@@ -131,6 +131,14 @@ HOSTILE_MODELS = {
         model_file(0, 0.1, ETAHS, ONE, widths=(1, 2, 1, 1, 1)),
         "context id column is wider than its largest item needs",
     ),
+    "width-2 column with an all-zero high plane": (
+        model_file(0, 0.1, ETAHS, [((), [(1, 255), (2, 7)])], widths=(1, 1, 1, 1, 2)),
+        "count column is wider than its largest item needs",
+    ),
+    "file ends inside a plane": (
+        SMALL[:28] + zlib.compress(model_body(ETAHS, [((), [(1, 256), (2, 257)])])[:-1], 1),
+        "model file truncated",
+    ),
     "row lengths sum past the file": (
         model_file(0, 0.1, ETAHS, ONE, lengths=[2**40]), "model file truncated"
     ),
@@ -142,6 +150,7 @@ HOSTILE_MODELS = {
         model_file(2**32 - 1, 0.1, ETAHS, []), f"order {2**32 - 1} is not in 0..{MAX_ORDER}"
     ),
     "retired RWC3 file": (rwc3_file(0, 0.1, ETAHS, ONE), "unsupported model version b'3'"),
+    "retired RWC4 file": (rwc4_file(0, 0.1, ETAHS, ONE), "unsupported model version b'4'"),
     "bad Adler-32": (
         SMALL[:-1] + bytes([SMALL[-1] ^ 1]),
         "damaged compressed body: Error -3 while decompressing data: incorrect data check",
@@ -155,7 +164,7 @@ HOSTILE_MODELS = {
     ),
     # A reader that inflated without a bound would hold 100 MiB, or 50 MiB.
     "stream inflates 100 MiB past its columns": (
-        deflated_bomb(1, rwc3_file(0, 0.1, ETAHS, ONE)[28:], 100), "trailing data after model"
+        deflated_bomb(1, model_body(ETAHS, ONE), 100), "trailing data after model"
     ),
     "2**40 contexts over 50 MiB of zeros": (
         deflated_bomb(2**40, b"", 50), "model file truncated"
@@ -426,12 +435,11 @@ class TestScoreEval:
         assert "skipped=1" in out
 
     def test_eval_charges_the_model_file_as_read(self, chain_files, capsys):
-        # A valid RWC4 file deflated at level 9 is shorter than the level-1
+        # A valid RWC5 file deflated at level 9 is shorter than the level-1
         # file that `serialize_model` would write for the same model.
         tmp_path, _, text = chain_files
         table = [((i,), [(s, 1 + (7 * i + s) % 5) for s in range(1, 6)]) for i in range(6)]
-        rwc3 = rwc3_file(1, 0.1, ETAHS, table)
-        blob = b"RWC4" + rwc3[4:28] + zlib.compress(rwc3[28:], 9)
+        blob = model_file(1, 0.1, ETAHS, table, level=9)
         assert len(serialize_model(parse_model(blob))) > len(blob)
         path = tmp_path / "level9.rwc"
         path.write_bytes(blob)

@@ -35,6 +35,7 @@ from oracles import (
     rwc2_parse,
     rwc2_serialize,
     rwc3_file,
+    rwc4_file,
     validate,
 )
 
@@ -334,6 +335,8 @@ class TestModelFile:
             parse_model(rwc2_serialize(train("AB", 0, 0.0)))
         with pytest.raises(ModelFormatError, match=r"^unsupported model version b'3'$"):
             parse_model(rwc3_file(0, 0.0, [65, 66], [((), [(1, 1), (2, 1)])]))
+        with pytest.raises(ModelFormatError, match=r"^unsupported model version b'4'$"):
+            parse_model(rwc4_file(0, 0.0, [65, 66], [((), [(1, 1), (2, 1)])]))
 
     def test_truncation(self):
         data = serialize_model(train("ABAB", 1, 0.0))
@@ -418,6 +421,17 @@ class TestModelFileFormat:
         table = [(ctx, sorted(row.items())) for ctx, row in sorted(m.counts.items())]
         assert blob == model_file(m.order, m.smoothing, glyphs, table)
         assert parse_model(blob) == m
+        assert serialize_model(parse_model(blob)) == blob
+
+    def test_contexts_are_column_major_and_columns_are_byte_planes(self):
+        m = ContextModel(Alphabet(("A", "B")), 2, 0.0, {(1, 2): {1: 1}, (0, 1): {2: 300}})
+        assert zlib.decompress(serialize_model(m)[28:]) == bytes([
+            1, 0x41, 0x42,  # glyphs
+            1, 0, 1, 1, 2,  # contexts (0, 1) and (1, 2): first ids, then second ids
+            1, 1, 1,  # row lengths
+            1, 2, 1,  # symbols
+            2, 0x2C, 0x01, 0x01, 0x00,  # counts 300 and 1: low bytes, then high bytes
+        ])
 
     @settings(max_examples=300)
     @given(models())

@@ -8,7 +8,9 @@ same guess at every position, for any model, text, payload and `lossless`.
 The oracle's session is also the earlier two-call step (`reveal` through
 `next_guess`), against which the one-frame `reveal` must leave the coder in
 the same state after every reveal. A refused reveal, and a `next_guess`,
-must leave the session exactly as it was.
+must leave the session exactly as it was. `decode_text` decodes each
+position once, and must give what the earlier `decode_text`, which decoded
+each position twice through a `DecoderSession`, gave.
 """
 
 import pytest
@@ -116,6 +118,13 @@ def oracle_decode_text(model, params, payload, n, lossless):
     return "".join(out)
 
 
+def two_call_decode_text(model, params, payload, n, lossless):
+    """The earlier `decode_text`: `next_guess` decodes each guess and restores
+    the coder, then `reveal` decodes it again and keeps it."""
+    session = DecoderSession(model, params, HintsFile(payload), lossless=lossless)
+    return "".join([session.reveal(session.next_guess()).guessed for _ in range(n)])
+
+
 # --- comparison -------------------------------------------------------------
 
 
@@ -202,6 +211,26 @@ def test_next_guess_changes_nothing_and_is_what_reveal_guesses(model, data, fore
             guess = session.next_guess()
             assert session._decoder.checkpoint() == before
             assert session.reveal(truth).guessed == guess
+
+
+@settings(max_examples=300)
+@given(models(), st.data(), st.binary(max_size=6), st.booleans())
+def test_decode_text_decodes_each_position_once(model, data, foreign, lossless):
+    text = data.draw(st.text(alphabet=model.alphabet.glyphs, max_size=12))
+    hints, _ = encode_document(model, PARAMS, text, lossless=lossless)
+    decode = Decoder.decode
+    for payload in (hints.payload, foreign):
+        calls = []
+
+        def counted(self, table):
+            calls.append(table)
+            return decode(self, table)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Decoder, "decode", counted)
+            decoded = decode_text(model, PARAMS, HintsFile(payload), len(text), lossless=lossless)
+        assert len(calls) == len(text)
+        assert decoded == two_call_decode_text(model, PARAMS, payload, len(text), lossless)
 
 
 def test_a_step_outcome_is_immutable():
