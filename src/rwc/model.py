@@ -19,7 +19,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
+from operator import add, is_, itemgetter
 from typing import NamedTuple, Sequence
 
 BOS = 0  # reserved begin-of-stream id; pads contexts, never occurs in text
@@ -31,8 +32,8 @@ MAX_ORDER = 8
 MAX_COUNT = 2**64 - 1  # a count must fit an 8-byte item, a model file's widest
 
 _MAGIC = b"RWC"
-_VERSION = b"5"
-_HEADER = struct.Struct("<IdIQ")  # order, smoothing, glyph count, context count
+_VERSION = b"6"
+_HEADER = struct.Struct("<IdIQ")  # order, smoothing, glyph count, node count
 # Deflate's largest expansion: one stream byte inflates to at most 1,032 bytes
 # (two 1-bit codes for a 258-byte match).
 _INFLATE_RATIO = 1032
@@ -299,7 +300,7 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
     return Distribution(row, floor, n)
 
 
-def _column(items: list[int]) -> bytes:
+def _column(items: Sequence[int]) -> bytes:
     """A column: a width byte, then `items` as little-endian unsigned ints of
     that width, the narrowest that holds the largest item, in byte planes:
     every item's lowest byte, then every item's next byte, and so on."""
@@ -312,8 +313,10 @@ def _column(items: list[int]) -> bytes:
     return bytes((width,)) + b"".join([raw[j::width] for j in range(width)])
 
 
-def _read_column(data: bytes, pos: int, count: int, name: str) -> tuple[array, int]:
-    """The `count` items of the column at `pos`, and the position after it."""
+def _read_column(data: bytes, pos: int, count: int, name: str) -> tuple[bytes | array, int]:
+    """The `count` items of the column at `pos`, and the position after it.
+    One-byte items are the column's bytes as they stand; wider ones come back
+    as an array."""
     if pos >= len(data):
         raise ModelFormatError("model file truncated")
     width = data[pos]
@@ -322,8 +325,10 @@ def _read_column(data: bytes, pos: int, count: int, name: str) -> tuple[array, i
     end = pos + 1 + width * count
     if end > len(data):  # before reading: a count past the file is a truncation
         raise ModelFormatError("model file truncated")
+    if width == 1:  # one plane, already in item order
+        return data[pos + 1 : end], end
     # Half the width would do when the upper half of the planes is all zero bytes.
-    if width > 1 and not data[pos + 1 + width // 2 * count : end].strip(b"\0"):
+    if not data[pos + 1 + width // 2 * count : end].strip(b"\0"):
         raise ModelFormatError(f"{name} column is wider than its largest item needs")
     raw = bytearray(width * count)
     for j in range(width):  # interleave the planes back into little-endian items
@@ -334,39 +339,113 @@ def _read_column(data: bytes, pos: int, count: int, name: str) -> tuple[array, i
     return items, end
 
 
+_tail = itemgetter(slice(1, None))  # a context without its oldest id
+
+
+def _breadth_first(table: Table, level: list) -> tuple[dict, list[Counts], list[int], bytes]:
+    """Walk the context graph breadth-first from the nodes of `level`.
+
+    An entry (c, s) of c's row leads to the context c[1:] + (s,). Returns
+    every node met, in the order met, as the keys of a dict; each node's row
+    (an empty dict for a node without one); the rows' symbols, each row's
+    ascending; and one flag per entry, 1 exactly where the entry's successor
+    is met for the first time. A level is handled in C: `setdefault` stores
+    each new node as its own value, so an entry is flagged where it gets
+    back the very tuple it passed in.
+    """
+    seen = dict.fromkeys(level)
+    all_rows: list[Counts] = []
+    syms: list[int] = []
+    flags = bytearray()
+    while level:
+        rows = list(map(table.get, level, repeat({})))
+        level_syms = list(chain.from_iterable(map(sorted, rows)))
+        tails = chain.from_iterable(map(repeat, map(_tail, level), map(len, rows)))
+        succ = list(map(add, tails, zip(level_syms)))
+        level_flags = bytes(map(is_, map(seen.setdefault, succ, succ), succ))
+        level = list(compress(succ, level_flags))
+        all_rows += rows
+        syms += level_syms
+        flags += level_flags
+    return seen, all_rows, syms, bytes(flags)
+
+
+def _node_contexts(order: int, lengths, syms, flags, roots) -> list[tuple[int, ...]]:
+    """The context of each node of an order-`order` file (order 1 or more),
+    from its columns, with no hashing.
+
+    Node 0 is (BOS,) * order and nodes 1..r are the roots. Node 1 + r + j is
+    the successor of the j-th flagged entry: its parent's context without
+    its oldest id, then the entry's symbol. The parent, the node whose row
+    holds that entry, is found by walking the row ends.
+    """
+    n_roots = len(roots) // order
+    runs = [roots[j * n_roots : (j + 1) * n_roots] for j in range(order)]
+    contexts = [(BOS,) * order, *zip(*runs)]
+    owner, end = -1, 0
+    for at, sym in compress(enumerate(syms), flags):
+        while at >= end:
+            owner += 1
+            end += lengths[owner]
+        if owner >= len(contexts):
+            raise ModelFormatError("a child is placed before its parent")
+        contexts.append(contexts[owner][1:] + (sym,))
+    return contexts
+
+
 def serialize_model(model: ContextModel) -> bytes:
-    """Serialize to the versioned "RWC5" little-endian format.
+    """Serialize to the versioned "RWC6" little-endian format.
 
     Layout: magic, then order (u32), smoothing (f64), glyph count (u32) and
-    context count (u64), then a zlib stream (deflate at level 1) of five
-    columns: the glyph code points, the sorted contexts' ids column-major
-    (every context's first id, then every context's second id, and so on),
-    the row lengths, each row's symbols in ascending order, and their
-    counts. Each column is a width byte w in {1, 2, 4, 8}, the narrowest that
+    node count (u64), then a zlib stream (deflate at level 1) of six
+    columns: the glyph code points, the row lengths, each row's symbols in
+    ascending order, their counts, a tree flag per entry, and the roots'
+    ids. Each column is a width byte w in {1, 2, 4, 8}, the narrowest that
     holds its largest item, then its items as w-byte unsigned ints in byte
-    planes: every item's lowest byte, then every item's next byte, and so
-    on. Sorted contexts and planes of like bytes give deflate long runs. The
-    header stays outside the stream, so a reader can bound what the stream
-    may inflate to before inflating it. Lower orders are derived on load, so
-    they are not stored. Contexts and rows are sorted, so serialization is
-    deterministic.
+    planes: every item's lowest byte, then every item's next byte, and so on.
+
+    No context is stored as such. The nodes are the contexts that a
+    breadth-first walk of the context graph meets, where an entry (c, s)
+    leads to c[1:] + (s,). The walk starts from (BOS,) * k and from the
+    roots: the contexts that a walk from (BOS,) * k alone cannot reach,
+    sorted. Only a hand-built model has roots. Node 0 is the start, the
+    roots follow, and every later node is the successor of the entry
+    flagged 1 where the walk first met it, so its ids follow from that
+    entry's context and symbol. A node without a row has length 0. The
+    roots' ids are stored column-major (every root's first id, then every
+    root's second id, and so on). At order 0 every successor is the start,
+    so there are no flags. The header
+    stays outside the stream, so a reader can bound what the stream may
+    inflate to before inflating it. Lower orders are derived on load, so
+    they are not stored. The walk, the roots and the rows are ordered, so
+    serialization is deterministic.
     """
     k, glyphs, table = model.order, model.alphabet.glyphs, model.counts
-    contexts = sorted(table)
-    rows = list(map(table.__getitem__, contexts))
+    start = [(BOS,) * k]
+    roots: list[tuple[int, ...]] = []
+    if k:
+        nodes, rows, syms, flags = _breadth_first(table, start)
+        if not nodes.keys() >= table.keys():  # a second walk, from the roots too
+            roots = sorted(table.keys() - nodes.keys())
+            nodes, rows, syms, flags = _breadth_first(table, start + roots)
+        n_nodes = len(nodes)
+        del nodes  # dropped before the columns are built, to keep the peak down
+    else:
+        n_nodes, rows, flags = 1, [table[()]], b""
+        syms = sorted(rows[0])
     lengths = list(map(len, rows))
-    syms = list(chain.from_iterable(map(sorted, rows)))
     counts = map(dict.__getitem__, chain.from_iterable(map(repeat, rows, lengths)), syms)
-    ids = list(chain.from_iterable(contexts))
+    ids = list(chain.from_iterable(roots))
     # Each column's list is dropped once it is packed, before the next is built.
     columns = b"".join([
         _column(list(map(ord, glyphs))),
-        _column(list(chain.from_iterable([ids[j::k] for j in range(k)]))),  # column-major
         _column(lengths),
         _column(syms),
         _column(list(counts)),
+        _column(flags),
+        _column(list(chain.from_iterable([ids[j::k] for j in range(k)]))),  # column-major
     ])
-    header = _MAGIC + _VERSION + _HEADER.pack(k, model.smoothing, len(glyphs), len(table))
+    header = _MAGIC + _VERSION + _HEADER.pack(k, model.smoothing, len(glyphs), n_nodes)
     return header + zlib.compress(columns, 1)
 
 
@@ -380,14 +459,17 @@ def parse_model(data: bytes) -> ContextModel:
         raise ModelFormatError(f"unsupported model version {data[3:4]!r}")
     if len(data) < 4 + _HEADER.size:
         raise ModelFormatError("model file truncated")
-    order, smoothing, n_glyphs, n_ctx = _HEADER.unpack_from(data, 4)
-    if order > MAX_ORDER:  # before the ids are split into `order`-tuples
+    order, smoothing, n_glyphs, n_nodes = _HEADER.unpack_from(data, 4)
+    if order > MAX_ORDER:  # before the root ids are split into `order`-tuples
         raise ModelFormatError(f"order {order} is not in 0..{MAX_ORDER}")
     stream = data[4 + _HEADER.size :]
-    # The columns the header allows are at least 5 width bytes and one-byte
-    # items with one symbol a row, and at most eight-byte items with full rows.
-    least = 5 + n_glyphs + n_ctx * (order + 3)
-    most = 5 + 8 * (n_glyphs + n_ctx * (order + 1) + 2 * n_ctx * n_glyphs)
+    # The columns the header allows are at least 6 width bytes, one-byte
+    # items and, for each node past the start, a root's ids or the flagged
+    # entry (symbol, count and flag) that leads to it; and at most
+    # eight-byte items, full rows and every node past the start a root.
+    later = max(n_nodes - 1, 0)
+    least = 6 + n_glyphs + n_nodes + later * min(order, 3)
+    most = 6 + 8 * (n_glyphs + n_nodes * (1 + n_glyphs * (3 if order else 2)) + later * order)
     if least > _INFLATE_RATIO * len(stream):  # no stream this short inflates that far
         raise ModelFormatError("model file truncated")
     inflater = zlib.decompressobj()
@@ -403,33 +485,57 @@ def parse_model(data: bytes) -> ContextModel:
     if not inflater.eof:
         raise ModelFormatError("model file truncated")
     code_points, pos = _read_column(body, 0, n_glyphs, "glyph")
-    ids, pos = _read_column(body, pos, n_ctx * order, "context id")
-    lengths, pos = _read_column(body, pos, n_ctx, "row length")
+    lengths, pos = _read_column(body, pos, n_nodes, "row length")
     n_pairs = sum(lengths)
     syms, pos = _read_column(body, pos, n_pairs, "symbol")
     counts, pos = _read_column(body, pos, n_pairs, "count")
+    flags, pos = _read_column(body, pos, n_pairs if order else 0, "tree flag")
+    n_flags = flags.count(1)
+    if flags.count(0) + n_flags != len(flags):
+        raise ModelFormatError(f"tree flag {max(flags)} is not 0 or 1")
+    n_roots = n_nodes - 1 - n_flags
+    if n_roots < 0:
+        raise ModelFormatError(f"{n_flags} tree flags for {n_nodes} nodes")
+    roots, pos = _read_column(body, pos, n_roots * order, "root id")
     if pos != len(body):
         raise ModelFormatError("trailing data after model")
-    # Columns of 1 or 2 bytes hold only code points below 0x10000.
-    if code_points.itemsize > 2 and max(code_points) > sys.maxunicode:
-        raise ModelFormatError(f"invalid glyph code point {max(code_points):#x}")
-    # The ids are column-major: the j-th run of n_ctx ids holds each context's j-th id.
-    runs = [ids[j * n_ctx : (j + 1) * n_ctx] for j in range(order)]
-    contexts = zip(*runs) if order else repeat((), n_ctx)
-    rows = list(map(dict, map(islice, repeat(zip(syms, counts)), lengths)))
-    table: Table = dict(zip(contexts, rows))
-    if len(table) != n_ctx:
-        raise ModelFormatError("a context is listed twice")
-    if sum(map(len, rows)) != n_pairs:
-        ctx = next(ctx for ctx, row, n in zip(table, rows, lengths) if len(row) != n)
-        raise ModelFormatError(f"context {ctx} lists a symbol twice")
     # A one-byte column is Latin-1 text, whose decode in C takes a third of
     # the time of a `chr` per glyph; it offsets part of the inflate's cost.
-    if code_points.itemsize == 1:
-        glyphs = tuple(code_points.tobytes().decode("latin-1"))
+    if isinstance(code_points, bytes):
+        glyphs = tuple(code_points.decode("latin-1"))
+    elif max(code_points) > sys.maxunicode:
+        raise ModelFormatError(f"invalid glyph code point {max(code_points):#x}")
     else:
         glyphs = tuple(map(chr, code_points))
+    if 0 in lengths[1 : 1 + n_roots]:  # a root is listed for its row
+        root = lengths.index(0, 1) - 1
+        raise ModelFormatError(f"context {tuple(roots[root::n_roots])} has an empty row")
+    contexts = _node_contexts(order, lengths, syms, flags, roots) if order else [()] * n_nodes
+    rows = list(map(dict, map(islice, repeat(zip(syms, counts)), lengths)))
+    table: Table = dict(zip(contexts, rows))
+    if len(table) != n_nodes:
+        raise ModelFormatError("a context is listed twice")
+    if sum(map(len, rows)) != n_pairs:
+        ctx = next(ctx for ctx, row, n in zip(contexts, rows, lengths) if len(row) != n)
+        raise ModelFormatError(f"context {ctx} lists a symbol twice")
+    at = -1
+    for _ in range(lengths.count(0)):  # a node without a row is no context of the table
+        at = lengths.index(0, at + 1)
+        del table[contexts[at]]
     try:  # the constructors refuse the rest, surrogate glyphs included
-        return ContextModel(Alphabet(glyphs), order, smoothing, table)
+        model = ContextModel(Alphabet(glyphs), order, smoothing, table)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
+    if order:
+        # Every entry's successor must be a node: a child, whose flagged entry
+        # is the one that leads to it, or a root. The successor of (c, s) is
+        # c[1:] + (s,), so the order-(k-1) table, which the model derives
+        # anyway, lists each distinct successor once. Without this check, a
+        # file read at another order than it was written at could load.
+        lower = model.tables[order - 1]
+        met = sum(map(len, lower.values()))
+        if n_roots:  # a root may be a successor too
+            met -= sum(root[-1] in lower.get(root[:-1], ()) for root in contexts[1 : 1 + n_roots])
+        if met != n_flags:
+            raise ModelFormatError("an entry's successor is not listed")
+    return model

@@ -10,10 +10,13 @@ is the order-0 model of uniformly random bytes. `oracle_glyph_fault` and
 `oracle_tables` check glyphs and a count table entry by entry, as
 `Alphabet` and `ContextModel` did before they checked in bulk.
 `rwc3_file` writes the retired RWC3 model file entry by entry, with any
-column widths, and `rwc4_file` the retired RWC4 file that holds the same
-columns deflated. `model_body` writes the columns of an RWC5 file entry by
-entry, its contexts column-major and each column in byte planes, and
-`model_file` writes the RWC5 file that holds them deflated.
+column widths, `rwc4_file` the retired RWC4 file that holds the same
+columns deflated, and `rwc5_file` the retired RWC5 file, whose contexts
+were stored column-major. `model_columns` lists an RWC6 file's nodes one
+at a time from a FIFO queue, `model_body` writes its columns entry by
+entry, each in byte planes, and `model_file` writes the RWC6 file that
+holds them deflated. `file_counts` reads an RWC6 file's node and root
+counts.
 `oracle_train` counts a corpus one character at a time, as `train` did
 before it tallied windows in bulk. `compress_bound` is zlib's
 `compressBound`, the longest a zlib stream of that many bytes can be.
@@ -24,6 +27,7 @@ whose per-context records RWC3's columns replaced.
 import math
 import struct
 import zlib
+from collections import deque
 from functools import reduce
 from operator import add
 
@@ -209,21 +213,29 @@ def rwc4_file(*args, **kwargs):
     return b"RWC4" + rwc3[4:28] + zlib.compress(rwc3[28:], 1)
 
 
-def model_body(code_points, table, widths=None, lengths=None):
-    """The five columns of an RWC5 file, written entry by entry: the glyph
-    code points, every context's first id, then every context's second id
-    and so on, the row lengths, the symbols and the counts. Each column is
-    its width byte, then every item's lowest byte, then every item's next
-    byte, and so on. `table`, `widths` and `lengths` are as in `rwc3_file`."""
+def rwc5_file(order, smoothing, code_points, table):
+    """The retired RWC5 model file of `table`, as in `rwc3_file`: its magic
+    with version 5, the 24-byte header of `rwc3_file`, then five columns
+    under `zlib.compress` at level 1: the glyph code points, every context's
+    first id, then every context's second id and so on, the row lengths, the
+    symbols and the counts, each column its width byte and then every item's
+    lowest byte, then every item's next byte, and so on."""
     contexts = [ctx for ctx, _ in table]
-    order = len(contexts[0]) if contexts else 0
     columns = [
         list(code_points),
         [ctx[j] for j in range(order) for ctx in contexts],
-        [len(row) for _, row in table] if lengths is None else lengths,
+        [len(row) for _, row in table],
         [sym for _, row in table for sym, _ in row],
         [count for _, row in table for _, count in row],
     ]
+    header = b"RWC5" + struct.pack("<IdIQ", order, smoothing, len(code_points), len(table))
+    return header + zlib.compress(_planes(columns, None), 1)
+
+
+def _planes(columns, widths):
+    """`columns`, each as its width byte (from `widths`, or else the
+    narrowest of 1, 2, 4 and 8 that holds it), then every item's lowest
+    byte, then every item's next byte, and so on."""
     if widths is None:
         widths = [min(w for w in (1, 2, 4, 8) if all(x < 256**w for x in col)) for col in columns]
     out = b""
@@ -234,15 +246,100 @@ def model_body(code_points, table, widths=None, lengths=None):
     return out
 
 
-def model_file(order, smoothing, code_points, table, widths=None, n_ctx=None, lengths=None,
-               level=1):
-    """An RWC5 model file: its magic with version 5, the 24-byte header of
-    `rwc3_file`, then `model_body(code_points, table, widths, lengths)` under
+def model_columns(order, table):
+    """The five columns after the glyphs of an RWC6 file for `table`, a list
+    of (context, [(symbol, count)]), as a dict: row lengths, symbols, counts,
+    flags and root ids.
+
+    Nodes are listed one at a time from a FIFO queue that starts with
+    (BOS,) * order and then the roots: every context the walk from the start
+    alone cannot reach, and every entry that repeats an earlier entry's
+    context, sorted by context. A node's row is the first entry for its
+    context, or none. Each of its row's (symbol, count) pairs, in the order
+    given, leads to (context + (symbol,))[1:]; that successor is flagged 1,
+    and queued, where it is met for the first time. At order 0 there are no
+    flags. The roots' ids are listed column-major.
+    """
+    if not table:  # one start node, without a row
+        return {"lengths": [0], "syms": [], "counts": [], "flags": [], "roots": []}
+    first = {}
+    for i, (ctx, _) in enumerate(table):
+        first.setdefault(ctx, i)
+    rows = {ctx: table[i][1] for ctx, i in first.items()}
+    start = (BOS,) * order
+    reached, queue = {start}, deque([start])
+    while queue:
+        ctx = queue.popleft()
+        for sym, _ in rows.get(ctx, []):
+            succ = (ctx + (sym,))[1:]
+            if succ not in reached:
+                reached.add(succ)
+                queue.append(succ)
+    roots = sorted([(ctx, row) for i, (ctx, row) in enumerate(table)
+                    if first[ctx] != i or ctx not in reached], key=lambda entry: entry[0])
+    columns = {"lengths": [], "syms": [], "counts": [], "flags": [], "roots": []}
+    seen = {start} | {ctx for ctx, _ in roots}
+    queue = deque([(start, rows.get(start, [])), *roots])
+    while queue:
+        ctx, row = queue.popleft()
+        columns["lengths"].append(len(row))
+        for sym, count in row:
+            columns["syms"].append(sym)
+            columns["counts"].append(count)
+            succ = (ctx + (sym,))[1:]
+            if order:
+                columns["flags"].append(int(succ not in seen))
+            if succ not in seen:
+                seen.add(succ)
+                queue.append((succ, rows.get(succ, [])))
+    columns["roots"] = [ctx[j] for j in range(order) for ctx, _ in roots]
+    return columns
+
+
+def model_body(code_points, order, table, widths=None, **columns):
+    """The six columns of an RWC6 file, written entry by entry: the glyph
+    code points, then the row lengths, symbols, counts, flags and root ids
+    of `model_columns(order, table)`, each replaced by the list of that name
+    in `columns` when one is given. `widths` is as in `rwc3_file`."""
+    columns = {**model_columns(order, table), **columns}
+    names = ("lengths", "syms", "counts", "flags", "roots")
+    return _planes([list(code_points), *map(columns.get, names)], widths)
+
+
+def model_file(order, smoothing, code_points, table, widths=None, n_nodes=None, level=1,
+               **columns):
+    """An RWC6 model file: its magic with version 6, the 24-byte header of
+    `rwc3_file` with the node count in place of the context count, then
+    `model_body(code_points, order, table, widths, **columns)` under
     `zlib.compress` at `level`, so that it can hold what no valid model
-    serializes to."""
-    n_ctx = len(table) if n_ctx is None else n_ctx
-    header = b"RWC5" + struct.pack("<IdIQ", order, smoothing, len(code_points), n_ctx)
-    return header + zlib.compress(model_body(code_points, table, widths, lengths), level)
+    serializes to. `n_nodes`, when given, stands in for the node count."""
+    if n_nodes is None:
+        n_nodes = len(columns.get("lengths") or model_columns(order, table)["lengths"])
+    header = b"RWC6" + struct.pack("<IdIQ", order, smoothing, len(code_points), n_nodes)
+    return header + zlib.compress(model_body(code_points, order, table, widths, **columns), level)
+
+
+def file_counts(blob):
+    """(nodes, roots) of an RWC6 file, its columns read entry by entry: the
+    header's node count, and that count less the start node and one node
+    per flag."""
+    order, _, n_glyphs, n_nodes = struct.unpack_from("<IdIQ", blob, 4)
+    body = zlib.decompress(blob[28:])
+    pos = 0
+
+    def column(count):
+        nonlocal pos
+        width = body[pos]
+        planes = body[pos + 1 : pos + 1 + width * count]
+        pos += 1 + width * count
+        return [int.from_bytes(planes[j::count], "little") for j in range(count)]
+
+    column(n_glyphs)
+    n_pairs = sum(column(n_nodes))
+    column(n_pairs)  # symbols
+    column(n_pairs)  # counts
+    flags = column(n_pairs if order else 0)
+    return n_nodes, n_nodes - 1 - sum(flags)
 
 
 def compress_bound(n):

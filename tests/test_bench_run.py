@@ -53,7 +53,7 @@ def assert_model_cost(tmp_path, workload, model_bytes, score_with_model):
 
 def test_traced_lossless_run_is_correct(tmp_path):
     assert traced_run(tmp_path, "bytes-lossless")["selector.kept_mean"] == 256
-    assert_model_cost(tmp_path, "bytes-lossless", 590, 21_188)
+    assert_model_cost(tmp_path, "bytes-lossless", 589, 21_186)
 
 
 def test_traced_evaluate_builds_each_text_plan_once(tmp_path):
@@ -66,7 +66,7 @@ def test_traced_evaluate_builds_each_text_plan_once(tmp_path):
     # walk still decodes every position.
     assert metrics["coder.encode.calls"] == 3_206
     assert metrics["coder.decode.calls"] == 12_778
-    assert_model_cost(tmp_path, "text-k4", 65_512, 134_381)
+    assert_model_cost(tmp_path, "text-k4", 45_699, 94_755)
 
 
 def test_traced_chain_run_counts_each_rewind(tmp_path):

@@ -34,7 +34,7 @@ from rwc.model import (
 )
 from rwc.rewind import render_trace
 
-from oracles import model_body, model_file, rwc2_serialize, rwc3_file, rwc4_file
+from oracles import model_body, model_file, rwc2_serialize, rwc3_file, rwc4_file, rwc5_file
 
 
 @pytest.fixture()
@@ -55,16 +55,19 @@ def run(capsys, *argv):
 ETAHS = [ord(g) for g in "ETAHS"]  # covers the chain_files document
 ONE = [((), [(1, 1)])]  # an order-0 table of one count
 SMALL = model_file(0, 0.1, ETAHS, ONE)
+# An order-1 table whose start row leads to (1,), whose row leads back to it:
+# its flags are 1 and 0.
+LOOP = [((0,), [(1, 1)]), ((1,), [(1, 1)])]
 MIB = 1 << 20
 
 
-def deflated_bomb(n_ctx, columns, mebibytes):
-    """An order-0 RWC5 file whose header claims `n_ctx` contexts over ETAHS,
+def deflated_bomb(n_nodes, columns, mebibytes):
+    """An order-0 RWC6 file whose header claims `n_nodes` nodes over ETAHS,
     and whose stream inflates to `columns` and then `mebibytes` MiB of zeros."""
     packer = zlib.compressobj(9)
     zeros = bytes(MIB)
     stream = packer.compress(columns) + b"".join(packer.compress(zeros) for _ in range(mebibytes))
-    return model_file(0, 0.1, ETAHS, ONE, n_ctx=n_ctx)[:28] + stream + packer.flush()
+    return model_file(0, 0.1, ETAHS, ONE, n_nodes=n_nodes)[:28] + stream + packer.flush()
 
 
 # Each hostile model file, and the message it is refused with.
@@ -85,7 +88,10 @@ HOSTILE_MODELS = {
         model_file(0, 0.0, ETAHS, [((), [(1, 0)])]), "count 0 is not an integer in 1..2**64-1"
     ),
     "empty table": (model_file(0, 0.1, ETAHS, []), "empty count table"),
-    "empty row": (model_file(0, 0.1, ETAHS, [((), [])]), "context () has an empty row"),
+    # A node without a row has length 0, so only a root, listed for its row, can be empty.
+    "empty row": (
+        model_file(1, 0.1, ETAHS, [((0,), [(1, 1)]), ((2,), [])]), "context (2,) has an empty row"
+    ),
     "code point past 2**31": (
         model_file(0, 0.1, ETAHS + [2**31], ONE), "invalid glyph code point 0x80000000"
     ),
@@ -120,23 +126,24 @@ HOSTILE_MODELS = {
         model_file(0, 0.1, ETAHS, [((), [(1, 1), (1, 2)])]), "context () lists a symbol twice"
     ),
     "column width 3": (
-        model_file(0, 0.1, ETAHS, ONE, widths=(1, 1, 1, 3, 1)),
+        model_file(0, 0.1, ETAHS, ONE, widths=(1, 1, 3, 1, 1, 1)),
         "symbol column has width 3, not 1, 2, 4 or 8",
     ),
     "column wider than its items need": (
-        model_file(0, 0.1, ETAHS, ONE, widths=(1, 1, 1, 1, 8)),
+        model_file(0, 0.1, ETAHS, ONE, widths=(1, 1, 1, 8, 1, 1)),
         "count column is wider than its largest item needs",
     ),
     "empty column wider than one byte": (
-        model_file(0, 0.1, ETAHS, ONE, widths=(1, 2, 1, 1, 1)),
-        "context id column is wider than its largest item needs",
+        model_file(0, 0.1, ETAHS, ONE, widths=(1, 1, 1, 1, 1, 2)),
+        "root id column is wider than its largest item needs",
     ),
     "width-2 column with an all-zero high plane": (
-        model_file(0, 0.1, ETAHS, [((), [(1, 255), (2, 7)])], widths=(1, 1, 1, 1, 2)),
+        model_file(0, 0.1, ETAHS, [((), [(1, 255), (2, 7)])], widths=(1, 1, 1, 2, 1, 1)),
         "count column is wider than its largest item needs",
     ),
+    # The body's last two bytes are the empty flag and root columns' width bytes.
     "file ends inside a plane": (
-        SMALL[:28] + zlib.compress(model_body(ETAHS, [((), [(1, 256), (2, 257)])])[:-1], 1),
+        SMALL[:28] + zlib.compress(model_body(ETAHS, 0, [((), [(1, 256), (2, 257)])])[:-3], 1),
         "model file truncated",
     ),
     "row lengths sum past the file": (
@@ -144,27 +151,71 @@ HOSTILE_MODELS = {
     ),
     # A reader that trusted either header would ask for memory far past the file.
     "2**64-1 contexts in a short file": (
-        model_file(1, 0.1, ETAHS, [((1,), [(1, 1)])], n_ctx=2**64 - 1), "model file truncated"
+        model_file(1, 0.1, ETAHS, [((1,), [(1, 1)])], n_nodes=2**64 - 1), "model file truncated"
     ),
     "order 2**32-1 with no contexts": (
         model_file(2**32 - 1, 0.1, ETAHS, []), f"order {2**32 - 1} is not in 0..{MAX_ORDER}"
     ),
     "retired RWC3 file": (rwc3_file(0, 0.1, ETAHS, ONE), "unsupported model version b'3'"),
     "retired RWC4 file": (rwc4_file(0, 0.1, ETAHS, ONE), "unsupported model version b'4'"),
+    "retired RWC5 file": (rwc5_file(0, 0.1, ETAHS, ONE), "unsupported model version b'5'"),
+    "tree flag other than 0 or 1": (
+        model_file(1, 0.1, ETAHS, LOOP, flags=[2, 0]), "tree flag 2 is not 0 or 1"
+    ),
+    "more tree flags than nodes after the start": (
+        model_file(1, 0.1, ETAHS, LOOP, flags=[1, 1]), "2 tree flags for 2 nodes"
+    ),
+    # Node 1's only entry is flagged, so its child would be node 1 itself.
+    "child placed before its parent": (
+        model_file(1, 0.1, ETAHS, [], lengths=[0, 1], syms=[1], counts=[1], flags=[1]),
+        "a child is placed before its parent",
+    ),
+    # Both entries lead to (1,), so nodes 1 and 2 are both (1,).
+    "successor flagged twice": (
+        model_file(1, 0.1, ETAHS, LOOP, lengths=[1, 1, 1], syms=[1, 1, 1], counts=[1, 1, 1],
+                   flags=[1, 1, 0]),
+        "a context is listed twice",
+    ),
+    # Both (0,)'s entry 2 and (1,)'s entry 2 lead to (2,), so nodes 2 and 3,
+    # neither with a row, are both (2,).
+    "successor flagged twice, neither copy with a row": (
+        model_file(1, 0.1, ETAHS, [], lengths=[2, 1, 0, 0], syms=[1, 2, 2], counts=[1, 1, 1],
+                   flags=[1, 1, 1]),
+        "a context is listed twice",
+    ),
+    # The start row's second entry leads to (2,), which no node is.
+    "successor listed nowhere": (
+        model_file(1, 0.1, ETAHS, [((0,), [(1, 1), (2, 1)]), ((1,), [(1, 1)])], lengths=[2, 1],
+                   flags=[1, 0, 0]),
+        "an entry's successor is not listed",
+    ),
+    # The body's last two bytes are the second flag and the empty root
+    # column's width byte.
+    "truncated flag column": (
+        model_file(1, 0.1, ETAHS, LOOP)[:28] + zlib.compress(model_body(ETAHS, 1, LOOP)[:-2], 1),
+        "model file truncated",
+    ),
+    # The walk from (0, 0) never meets (3, 9), so it is a root.
+    "root id outside the alphabet": (
+        model_file(2, 0.1, ETAHS, [((0, 0), [(1, 1)]), ((3, 9), [(2, 1)])]),
+        "context (3, 9) is not 2 ids of the alphabet",
+    ),
     "bad Adler-32": (
         SMALL[:-1] + bytes([SMALL[-1] ^ 1]),
         "damaged compressed body: Error -3 while decompressing data: incorrect data check",
     ),
     "bytes after the stream": (SMALL + b"\0", "trailing data after model"),
-    # Eight-byte items and full rows: the longest columns this header allows,
-    # which inflate in full and are refused only for their widths.
+    # Eight-byte items, full rows and every node past the start a root: the
+    # longest columns this header allows, which inflate in full and are
+    # refused only for their widths.
     "columns exactly as long as the header allows": (
-        model_file(0, 0.1, [2**32], [((), [(1, 2**32)])], widths=(8,) * 5),
-        "context id column is wider than its largest item needs",
+        model_file(1, 0.1, [2**32], [], widths=(8,) * 6, lengths=[1, 1], syms=[1, 1],
+                   counts=[2**32] * 2, flags=[0, 0], roots=[1]),
+        "row length column is wider than its largest item needs",
     ),
     # A reader that inflated without a bound would hold 100 MiB, or 50 MiB.
     "stream inflates 100 MiB past its columns": (
-        deflated_bomb(1, model_body(ETAHS, ONE), 100), "trailing data after model"
+        deflated_bomb(1, model_body(ETAHS, 0, ONE), 100), "trailing data after model"
     ),
     "2**40 contexts over 50 MiB of zeros": (
         deflated_bomb(2**40, b"", 50), "model file truncated"
@@ -178,7 +229,7 @@ def test_model_file_helper_writes_the_serialized_format():
     m = ContextModel(Alphabet(("E", "T")), 1, 0.1, {(0,): {1: 3}, (1,): {1: 1, 2: 2}})
     table = [((0,), [(1, 3)]), ((1,), [(1, 1), (2, 2)])]
     assert model_file(1, 0.1, [69, 84], table) == serialize_model(m)
-    assert model_file(1, 0.1, [69, 84], table, widths=(1,) * 5) == serialize_model(m)
+    assert model_file(1, 0.1, [69, 84], table, widths=(1,) * 6) == serialize_model(m)
 
 
 class TestAlpha:
@@ -435,7 +486,7 @@ class TestScoreEval:
         assert "skipped=1" in out
 
     def test_eval_charges_the_model_file_as_read(self, chain_files, capsys):
-        # A valid RWC5 file deflated at level 9 is shorter than the level-1
+        # A valid RWC6 file deflated at level 9 is shorter than the level-1
         # file that `serialize_model` would write for the same model.
         tmp_path, _, text = chain_files
         table = [((i,), [(s, 1 + (7 * i + s) % 5) for s in range(1, 6)]) for i in range(6)]

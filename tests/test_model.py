@@ -28,6 +28,9 @@ from rwc.model import (
 from oracles import (
     compress_bound,
     dense,
+    file_counts,
+    model_body,
+    model_columns,
     model_file,
     oracle_glyph_fault,
     oracle_tables,
@@ -36,6 +39,7 @@ from oracles import (
     rwc2_serialize,
     rwc3_file,
     rwc4_file,
+    rwc5_file,
     validate,
 )
 
@@ -337,6 +341,8 @@ class TestModelFile:
             parse_model(rwc3_file(0, 0.0, [65, 66], [((), [(1, 1), (2, 1)])]))
         with pytest.raises(ModelFormatError, match=r"^unsupported model version b'4'$"):
             parse_model(rwc4_file(0, 0.0, [65, 66], [((), [(1, 1), (2, 1)])]))
+        with pytest.raises(ModelFormatError, match=r"^unsupported model version b'5'$"):
+            parse_model(rwc5_file(0, 0.0, [65, 66], [((), [(1, 1), (2, 1)])]))
 
     def test_truncation(self):
         data = serialize_model(train("ABAB", 1, 0.0))
@@ -356,14 +362,15 @@ class TestModelFile:
         assert parse_model(serialize_model(m)) == m
 
     def test_only_the_order_k_table_is_stored(self):
-        # magic 4 + order 4 + smoothing 8 + glyph count 4 + context count 8,
-        # then five columns of one-byte items, each after its width byte: 2
-        # glyphs, 3 contexts of 2 ids, and 3 row lengths, symbols and counts,
-        # all deflated after the header
+        # magic 4 + order 4 + smoothing 8 + glyph count 4 + node count 8,
+        # then six columns of one-byte items, each after its width byte: 2
+        # glyphs, 4 row lengths (the 3 contexts and the final (B, A), which
+        # has no row), 3 symbols, counts and flags, and no roots, all
+        # deflated after the header
         m = train("ABA", 2, 0.0)
         assert len(m.counts) == 3
         columns = zlib.decompress(serialize_model(m)[28:])
-        assert 28 + len(columns) == 28 + (1 + 2) + (1 + 3 * 2) + 3 * (1 + 3) == 50
+        assert 28 + len(columns) == 28 + (1 + 2) + (1 + 4) + 3 * (1 + 3) + 1 == 49
 
     @settings(max_examples=400)
     @given(
@@ -386,6 +393,41 @@ class TestModelFile:
         # Every width is the narrowest and no entry repeats, so a blob that
         # parses is as long as the model's own file.
         assert len(serialize_model(m)) == len(damaged)
+
+
+def unreachable(m) -> set:
+    """The contexts of `m` that no walk from (BOS,) * k over its rows meets."""
+    start = (BOS,) * m.order
+    reached, todo = {start}, [start]
+    while todo:
+        ctx = todo.pop()
+        for sym in m.counts.get(ctx, {}):
+            succ = (ctx + (sym,))[1:]
+            if succ not in reached:
+                reached.add(succ)
+                todo.append(succ)
+    return set(m.counts) - reached
+
+
+@st.composite
+def walked_models(draw):
+    """A hand-built model whose contexts are those a walk from the start
+    meets, as a trained model's are, and contexts the walk may never reach;
+    at times the start's own row is left out, so that no context is reached."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, 4))
+    path = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=30))
+    counts = {}
+    ctx = (BOS,) * k
+    for sym in path:
+        row = counts.setdefault(ctx, {})
+        row[sym] = row.get(sym, 0) + 1
+        ctx = (ctx + (sym,))[1:]
+    rows = st.dictionaries(st.integers(1, n - 1), st.integers(1, MAX_COUNT), min_size=1, max_size=3)
+    counts.update(draw(st.dictionaries(st.tuples(*[st.integers(0, n - 1)] * k), rows, max_size=4)))
+    if draw(st.booleans()) and len(counts) > 1:
+        counts.pop((BOS,) * k, None)
+    return ContextModel(Alphabet(tuple("ABCDE"[: n - 1])), k, 0.5, counts)
 
 
 @st.composite
@@ -423,14 +465,67 @@ class TestModelFileFormat:
         assert parse_model(blob) == m
         assert serialize_model(parse_model(blob)) == blob
 
+    @settings(max_examples=300)
+    @given(walked_models())
+    @example(ContextModel(Alphabet(("A", "B")), 2, 0.0, {(1, 2): {1: 1}, (0, 1): {2: 3}}))
+    @example(ContextModel(Alphabet(("A", "B")), 1, 0.0, {(0,): {1: 1}, (1,): {1: 2}, (2,): {1: 1}}))
+    def test_roots_are_the_contexts_the_walk_cannot_reach(self, m):
+        # The first example has no start context, so both its contexts are
+        # roots; the second has a start, and (2,) is the one context it
+        # never reaches.
+        blob = serialize_model(m)
+        glyphs = [ord(g) for g in m.alphabet.glyphs]
+        table = [(ctx, sorted(row.items())) for ctx, row in m.counts.items()]
+        assert blob == model_file(m.order, m.smoothing, glyphs, table)
+        assert file_counts(blob)[1] == len(unreachable(m))
+        assert parse_model(blob) == m
+        assert serialize_model(parse_model(blob)) == blob
+
+    @given(st.text(alphabet="ABé\U0001f600", min_size=1, max_size=60), st.integers(0, MAX_ORDER))
+    def test_a_trained_model_has_no_roots(self, corpus, k):
+        # Training walks from the start, so the walk meets every context.
+        m = train(corpus, k, 0.1)
+        nodes, roots = file_counts(serialize_model(m))
+        assert roots == 0
+        # Every context and, at most, the corpus's last one, which has no row.
+        assert nodes - len(m.counts) in (0, 1)
+
+    @given(st.text(alphabet="ABé\U0001f600", min_size=1, max_size=30), st.integers(0, 3),
+           st.integers(0, MAX_ORDER))
+    def test_a_file_read_at_another_order_is_refused_or_writes_back_the_same(self, corpus, k, other):
+        # The header's order is stored nowhere else, so the reader checks that
+        # every entry's successor is a node; a misread order that passes gives
+        # a model whose own file is the same file.
+        blob = serialize_model(train(corpus, k, 0.5))
+        misread = blob[:4] + other.to_bytes(4, "little") + blob[8:]
+        try:
+            m = parse_model(misread)
+        except ModelFormatError:
+            return
+        assert serialize_model(m) == misread
+
+    def test_a_truncated_one_byte_column_is_refused(self):
+        # One-byte columns are sliced out whole; a body cut anywhere, inside
+        # a column or between two, is still a truncation.
+        table = [((0,), [(1, 1)]), ((1,), [(1, 1), (2, 1)])]
+        body = model_body([65, 66], 1, table)
+        header = model_file(1, 0.0, [65, 66], table)[:28]
+        assert body == model_body([65, 66], 1, table, widths=(1,) * 6)  # every column one byte wide
+        for cut in range(len(body)):
+            with pytest.raises(ModelFormatError, match="^model file truncated$"):
+                parse_model(header + zlib.compress(body[:cut], 1))
+
     def test_contexts_are_column_major_and_columns_are_byte_planes(self):
+        # No row is (0, 0)'s, so the walk from it meets nothing: both contexts
+        # are roots, sorted, and (1, 2)'s entry leads to (2, 1), which has no row.
         m = ContextModel(Alphabet(("A", "B")), 2, 0.0, {(1, 2): {1: 1}, (0, 1): {2: 300}})
         assert zlib.decompress(serialize_model(m)[28:]) == bytes([
             1, 0x41, 0x42,  # glyphs
-            1, 0, 1, 1, 2,  # contexts (0, 1) and (1, 2): first ids, then second ids
-            1, 1, 1,  # row lengths
+            1, 0, 1, 1, 0,  # row lengths of (0, 0), (0, 1), (1, 2) and (2, 1)
             1, 2, 1,  # symbols
             2, 0x2C, 0x01, 0x01, 0x00,  # counts 300 and 1: low bytes, then high bytes
+            1, 0, 1,  # flags: (1, 2) is a root already, (2, 1) is new
+            1, 0, 1, 1, 2,  # roots (0, 1) and (1, 2): first ids, then second ids
         ])
 
     @settings(max_examples=300)
@@ -438,10 +533,13 @@ class TestModelFileFormat:
     def test_columns_cost_at_most_their_width_bytes_over_rwc2(self, m):
         # RWC2's records are the oracle: both formats hold the same model, and
         # the inflated columns' only overhead is one width byte per column.
+        # Over these alphabets of at most 8 glyphs, an entry's symbol, count
+        # and flag, with the length of a node without a row that it may lead
+        # to, take at most 11 bytes, and RWC2's pair 12.
         blob, old = serialize_model(m), rwc2_serialize(m)
         assert parse_model(blob) == m
         assert rwc2_parse(old) == m
-        assert 28 + len(zlib.decompress(blob[28:])) <= len(old) + 5
+        assert 28 + len(zlib.decompress(blob[28:])) <= len(old) + 6
 
     @settings(max_examples=300)
     @given(models())
