@@ -40,7 +40,7 @@ def walk(title, model, text, params):
     show_kept(model, dist, params)
     hints, report = encode_document(model, params, text)
     print(f"  text = {text!r}")
-    print(f"  kept = {report.kept}  skipped = {report.skipped}")
+    print(f"  kept = {len(text) - report.skipped}  skipped = {report.skipped}")
     payload = f"0x{hints.payload.hex()}" if hints.payload else "(empty)"
     print(f"  payload = {payload}  bits = {hints.bit_count}")
     trace = run_trace(model, params, hints, text)

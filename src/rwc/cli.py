@@ -84,12 +84,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    model = parse_model(_read_bytes(args.model))
-    hints, report = encode_document(model, SelectorParams.default(), _read_text(args.text))
+    model, text = parse_model(_read_bytes(args.model)), _read_text(args.text)
+    hints, report = encode_document(model, SelectorParams.default(), text)
     _write_atomic(args.out, hints.payload)
     print(
         f"L={hints.byte_length} bits={hints.bit_count}"
-        f" kept={report.kept} skipped={report.skipped}"
+        f" kept={len(text) - report.skipped} skipped={report.skipped}"
     )
     return 0
 

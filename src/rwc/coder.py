@@ -52,9 +52,6 @@ class FrequencyTable:
     def from_freqs(cls, freqs: Sequence[int]) -> "FrequencyTable":
         return cls(tuple(accumulate(freqs, initial=0)))
 
-    def __len__(self) -> int:
-        return len(self.cum) - 1
-
 
 def quantize(weights: Sequence[float]) -> tuple[int, ...]:
     """Scale weights to integers summing to TOTAL, each at least 1.

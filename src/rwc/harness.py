@@ -116,7 +116,7 @@ def evaluate(
             hint_bytes=hints.byte_length,
             errors=trace.errors,
             model_bytes=len(serialize_model(model)) if model_bytes is None else model_bytes,
-            kept=report.kept,
+            kept=len(text) - report.skipped,
         ),
         trace,
     )

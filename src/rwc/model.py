@@ -285,7 +285,10 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
     always gets probability 0. Only the matched row's ids can rise above the
     floor that every unseen id gets (beta/total, or 0 without smoothing), so
     only those that do are kept, in the returned distribution's `row`.
+    A `str` history is refused: its characters would match no context.
     """
+    if isinstance(history, str):
+        raise TypeError("history is symbol ids, not text; map text with model.alphabet.encode")
     n, j, tables = model.alphabet.size, model.order, model.tables
     key = context_key(j, history)
     counts = tables[j].get(key)

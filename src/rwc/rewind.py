@@ -46,7 +46,6 @@ class HintsFile:
 
 @dataclass(frozen=True)
 class EncodeReport:
-    kept: int
     skipped: int
 
 
@@ -57,13 +56,9 @@ class StepOutcome(NamedTuple):
     truth: str
 
     @property
-    def correct(self) -> bool:
-        return self.guessed == self.truth
-
-    @property
     def rewound(self) -> bool:
         """A wrong guess rewinds the coder to the checkpoint before it."""
-        return not self.correct
+        return self.guessed != self.truth
 
 
 @dataclass(frozen=True)
@@ -80,11 +75,6 @@ class DecodeTrace:
     @property
     def errors(self) -> int:
         return sum(map(ne, self.guesses, self.decoded))
-
-    @property
-    def steps(self) -> tuple[StepOutcome, ...]:
-        """Per-position outcomes, rebuilt on each access."""
-        return tuple(map(StepOutcome, self.guesses, self.decoded))
 
 
 class _PlanCache(dict):
@@ -140,7 +130,7 @@ def encode_document(
     lossless: bool = False,
     plans: _PlanCache | None = None,
 ) -> tuple[HintsFile, EncodeReport]:
-    """Produce the hints file for `text` plus kept/skipped accounting.
+    """Produce the hints file for `text` and the count of characters it skipped.
 
     `lossless` keeps every symbol of positive probability, so a character the
     model gives probability 0 (unseen in its context under smoothing 0) is
@@ -163,7 +153,7 @@ def encode_document(
         elif len(members) > 1:  # a one-member table (0, TOTAL) leaves the coder as it was
             enc.encode(table, idx)
         ctx = (ctx + (sym,))[1:]
-    return HintsFile(enc.finish()), EncodeReport(kept=len(syms) - skipped, skipped=skipped)
+    return HintsFile(enc.finish()), EncodeReport(skipped)
 
 
 class DecoderSession:

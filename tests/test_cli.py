@@ -311,6 +311,18 @@ class TestEncodeDecodeTrace:
         assert hints.read_bytes() == b"\x77"
         assert "L=1" in out and "kept=8" in out and "skipped=1" in out
 
+    def test_encode_counts_characters_not_bytes(self, tmp_path, capsys):
+        text = "été à l'île, né à Nîmes; déjà vu, fée éloignée " * 3
+        corpus, model, hints = tmp_path / "doc.txt", tmp_path / "m.rwc", tmp_path / "doc.hints"
+        corpus.write_text(text, encoding="utf-8")
+        assert run(capsys, "train", str(corpus), str(model), "--order", "1")[0] == 0
+        code, out, _ = run(capsys, "encode", str(model), str(corpus), str(hints))
+        assert code == 0
+        fields = dict(field.split("=") for field in out.split())
+        kept, skipped = int(fields["kept"]), int(fields["skipped"])
+        assert kept + skipped == len(text) < len(text.encode("utf-8"))
+        assert run(capsys, "decode", str(model), str(hints), str(corpus))[1] == f"errors={skipped}\n"
+
     def test_decode_reports_errors_and_reconstructs(self, chain_files, capsys):
         tmp_path, model, text = chain_files
         hints = tmp_path / "doc.hints"

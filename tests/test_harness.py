@@ -315,7 +315,7 @@ class TestEvaluate:
         assert report == ScoreReport(
             hint_bytes=hints.byte_length,
             errors=alone.errors,
-            kept=encoded_report.kept,
+            kept=len(text) - encoded_report.skipped,
             model_bytes=len(serialize_model(model)),
         )
         assert trace == alone

@@ -149,6 +149,14 @@ class TestTrain:
         with pytest.raises(ValueError):
             train("AB", 0, -0.5)
 
+    def test_a_text_history_is_refused(self):
+        # "th" as text would match no context and fall back to the order-0 row
+        m = train("the then there that", 2, 0.0)
+        with pytest.raises(TypeError, match="alphabet.encode"):
+            predict(m, "th")
+        row = predict(m, m.alphabet.encode("th")).row
+        assert row == {m.alphabet.id_of("e"): 0.75, m.alphabet.id_of("a"): 0.25}
+
     def test_explicit_alphabet_reserves_unseen_glyphs(self):
         m = train("EE", 0, 1.0, alphabet=Alphabet(("E", "T")))
         d = predict(m, [])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from operator import eq, ne
 
 import pytest
 from hypothesis import given
@@ -51,17 +52,17 @@ class TestEncodeDocument:
     def test_iid_example_byte(self, eta_model, params):
         hints, report = encode_document(eta_model, params, "ETATEETTT")
         assert hints.payload == b"\x67"
-        assert (report.kept, report.skipped) == (8, 1)
+        assert report.skipped == 1
 
     def test_chain_example_byte(self, chain_model, params):
         hints, report = encode_document(chain_model, params, "ETAHTETTT")
         assert hints.payload == b"\x77"
-        assert (report.kept, report.skipped) == (8, 1)
+        assert report.skipped == 1
 
     def test_empty_text(self, eta_model, params):
         hints, report = encode_document(eta_model, params, "")
         assert hints.payload == b""
-        assert (hints.bit_count, report.kept, report.skipped) == (0, 0, 0)
+        assert (hints.bit_count, report.skipped) == (0, 0)
 
     def test_character_outside_alphabet_reports_position(self, eta_model, params):
         with pytest.raises(UnknownCharacterError) as exc:
@@ -71,7 +72,7 @@ class TestEncodeDocument:
     def test_all_skipped_text_yields_empty_hints(self, eta_model, params):
         hints, report = encode_document(eta_model, params, "AAA")
         assert hints.payload == b""
-        assert (report.kept, report.skipped) == (0, 3)
+        assert report.skipped == 3
 
 
 class TestDecoderSession:
@@ -122,18 +123,18 @@ class TestDecoderSession:
         hints, _ = encode_document(eta_model, params, "AAA")
         trace = run_trace(eta_model, params, hints, "AAA")
         assert trace.errors == 3
-        assert all(s.rewound for s in trace.steps)
+        assert "A" not in trace.guesses
 
 
 class TestRunTrace:
     def test_chain_example_outcomes(self, chain_model, params):
         hints, _ = encode_document(chain_model, params, "ETAHTETTT")
         trace = run_trace(chain_model, params, hints, "ETAHTETTT")
-        assert [s.correct for s in trace.steps] == [
+        assert list(map(eq, trace.guesses, trace.decoded)) == [
             True, True, False, True, True, True, True, True, True,
         ]
-        assert trace.steps[2].guessed == "T"
-        assert trace.steps[3].guessed == "H"
+        assert trace.guesses[2] == "T"
+        assert trace.guesses[3] == "H"
         assert trace.errors == 1
         assert trace.decoded == "ETAHTETTT"
 
@@ -141,9 +142,8 @@ class TestRunTrace:
         hints, _ = encode_document(eta_model, params, "ETATEETTT")
         trace = run_trace(eta_model, params, hints, "ETATEETTT")
         assert trace.errors == 1
-        assert not trace.steps[2].correct
-        assert trace.steps[3].guessed == "T"
-        assert trace.steps[3].correct
+        assert trace.guesses[2] != trace.decoded[2]
+        assert trace.guesses[3] == trace.decoded[3] == "T"
 
     def test_traces_are_deterministic(self, chain_model, params):
         hints, _ = encode_document(chain_model, params, "ETAHTETTT")
@@ -172,7 +172,7 @@ class TestRunTrace:
         hints, report = encode_document(chain_model, params, "ETAHTETTT")
         trace = run_trace(chain_model, params, hints, "ETAHTETTT")
         assert trace.errors == report.skipped
-        assert report.kept + report.skipped == len(trace.decoded)
+        assert sum(map(eq, trace.guesses, trace.decoded)) == len(trace.decoded) - report.skipped
 
     @pytest.mark.parametrize("guesses, decoded", [("ab", "abc"), ("abc", "ab"), ("a", "")])
     def test_unequal_lengths_are_refused(self, guesses, decoded):
@@ -221,13 +221,13 @@ class TestRender:
     def test_format_characters_are_marked_verbatim(self, ansi):
         def oracle_guess_line(trace, ansi):
             parts = []
-            for s in trace.steps:
-                if s.correct:
-                    parts.append(s.guessed)
+            for guessed, truth in zip(trace.guesses, trace.decoded):
+                if guessed == truth:
+                    parts.append(guessed)
                 elif ansi:
-                    parts.append(f"\x1b[31m{s.guessed}\x1b[0m")
+                    parts.append(f"\x1b[31m{guessed}\x1b[0m")
                 else:
-                    parts.append(f"[{s.guessed}]")
+                    parts.append(f"[{guessed}]")
             return "".join(parts)
 
         pairs = [("{", "a"), ("}", "}"), ("}", "{"), ("[", "]"), ("%", "s"), ("%", "%"), ("{", "{")]
@@ -318,8 +318,7 @@ class TestPipelineInvariants:
             flags = skipped_flags(model, params, text)
             assert trace.errors == sum(flags)
             assert report.skipped == sum(flags)
-            for step, skipped in zip(trace.steps, flags):
-                assert step.correct == (not skipped)
+            assert list(map(ne, trace.guesses, trace.decoded)) == flags
 
     def test_rate_tracks_the_real_distribution_costs(self, params):
         # hint bits stay within 2 of the sum of per-character surprises
