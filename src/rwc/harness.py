@@ -59,11 +59,11 @@ class ScoreReport:
 
     hint_bytes: int
     errors: int
-    kept: int = 0
+    kept: int | None = None
     model_bytes: int | None = None
 
     def __post_init__(self):
-        if min(self.hint_bytes, self.errors, self.kept, self.model_bytes or 0) < 0:
+        if min(self.hint_bytes, self.errors, self.kept or 0, self.model_bytes or 0) < 0:
             raise ValueError("counts cannot be negative")
 
     @property
@@ -82,7 +82,10 @@ class ScoreReport:
 
     def lines(self) -> list[str]:
         """Line-oriented key=value report; the first line is the score summary."""
-        out = [self.summary_line(), f"kept={self.kept}", f"skipped={self.errors}"]
+        out = [self.summary_line()]
+        if self.kept is not None:
+            out.append(f"kept={self.kept}")
+        out.append(f"skipped={self.errors}")
         if self.model_bytes is not None:
             out.append(f"model_bytes={self.model_bytes}")
             out.append(f"score_with_model={self.score_with_model}")

@@ -9,19 +9,15 @@ that a distribution is a probability distribution, and `uniform_byte_model`
 is the order-0 model of uniformly random bytes. `oracle_glyph_fault` and
 `oracle_tables` check glyphs and a count table entry by entry, as
 `Alphabet` and `ContextModel` did before they checked in bulk.
-`rwc3_file` writes the retired RWC3 model file entry by entry, with any
-column widths, `rwc4_file` the retired RWC4 file that holds the same
-columns deflated, and `rwc5_file` the retired RWC5 file, whose contexts
-were stored column-major. `model_columns` lists an RWC6 file's nodes one
-at a time from a FIFO queue, `model_body` writes its columns entry by
-entry, each in byte planes, and `model_file` writes the RWC6 file that
-holds them deflated. `file_counts` reads an RWC6 file's node and root
-counts.
+`model_columns` lists an RWC6 file's nodes one at a time from a FIFO
+queue, `model_body` writes its columns entry by entry, with any widths,
+each in byte planes, and `model_file` writes the RWC6 file that holds them
+deflated. They are the tests' only model-file writer: a retired format is
+tested by its version byte alone. `file_counts` reads an RWC6 file's node
+and root counts.
 `oracle_train` counts a corpus one character at a time, as `train` did
 before it tallied windows in bulk. `compress_bound` is zlib's
 `compressBound`, the longest a zlib stream of that many bytes can be.
-`rwc2_serialize` and `rwc2_parse` write and read the retired RWC2 format,
-whose per-context records RWC3's columns replaced.
 """
 
 import math
@@ -181,57 +177,6 @@ def oracle_train(corpus: str, order: int, smoothing: float, alphabet: Alphabet |
     return ContextModel(alphabet, order, smoothing, counts)
 
 
-def rwc3_file(order, smoothing, code_points, table, widths=None, n_ctx=None, lengths=None):
-    """An RWC3 model file written entry by entry, so that it can hold what no
-    valid model serializes to. `table` lists (context, [(symbol, count)]).
-    `widths` gives the five columns' width bytes; each left out is the
-    narrowest of 1, 2, 4 and 8 that holds its column. `n_ctx` and `lengths`,
-    when given, stand in for the header's context count and the row lengths."""
-    columns = [
-        list(code_points),
-        [i for ctx, _ in table for i in ctx],
-        [len(row) for _, row in table] if lengths is None else lengths,
-        [sym for _, row in table for sym, _ in row],
-        [count for _, row in table for _, count in row],
-    ]
-    if widths is None:
-        widths = [min(w for w in (1, 2, 4, 8) if all(x < 256**w for x in col)) for col in columns]
-    n_ctx = len(table) if n_ctx is None else n_ctx
-    out = b"RWC3" + struct.pack("<IdIQ", order, smoothing, len(code_points), n_ctx)
-    for width, column in zip(widths, columns):
-        out += bytes([width])
-        for item in column:
-            out += item.to_bytes(width, "little")
-    return out
-
-
-def rwc4_file(*args, **kwargs):
-    """The retired RWC4 model file of `rwc3_file(*args, **kwargs)`: its magic
-    with version 4, its 24-byte header, then its columns under
-    `zlib.compress` at level 1."""
-    rwc3 = rwc3_file(*args, **kwargs)
-    return b"RWC4" + rwc3[4:28] + zlib.compress(rwc3[28:], 1)
-
-
-def rwc5_file(order, smoothing, code_points, table):
-    """The retired RWC5 model file of `table`, as in `rwc3_file`: its magic
-    with version 5, the 24-byte header of `rwc3_file`, then five columns
-    under `zlib.compress` at level 1: the glyph code points, every context's
-    first id, then every context's second id and so on, the row lengths, the
-    symbols and the counts, each column its width byte and then every item's
-    lowest byte, then every item's next byte, and so on."""
-    contexts = [ctx for ctx, _ in table]
-    columns = [
-        list(code_points),
-        [ctx[j] for j in range(order) for ctx in contexts],
-        [len(row) for _, row in table],
-        [sym for _, row in table for sym, _ in row],
-        [count for _, row in table for _, count in row],
-    ]
-    header = b"RWC5" + struct.pack("<IdIQ", order, smoothing, len(code_points), len(table))
-    return header + zlib.compress(_planes(columns, None), 1)
-
-
 def _planes(columns, widths):
     """`columns`, each as its width byte (from `widths`, or else the
     narrowest of 1, 2, 4 and 8 that holds it), then every item's lowest
@@ -300,7 +245,7 @@ def model_body(code_points, order, table, widths=None, **columns):
     """The six columns of an RWC6 file, written entry by entry: the glyph
     code points, then the row lengths, symbols, counts, flags and root ids
     of `model_columns(order, table)`, each replaced by the list of that name
-    in `columns` when one is given. `widths` is as in `rwc3_file`."""
+    in `columns` when one is given. `widths` is as in `_planes`."""
     columns = {**model_columns(order, table), **columns}
     names = ("lengths", "syms", "counts", "flags", "roots")
     return _planes([list(code_points), *map(columns.get, names)], widths)
@@ -308,8 +253,8 @@ def model_body(code_points, order, table, widths=None, **columns):
 
 def model_file(order, smoothing, code_points, table, widths=None, n_nodes=None, level=1,
                **columns):
-    """An RWC6 model file: its magic with version 6, the 24-byte header of
-    `rwc3_file` with the node count in place of the context count, then
+    """An RWC6 model file: its magic with version 6, a 24-byte header of
+    order (u32), smoothing (f64), glyph count (u32) and node count (u64), then
     `model_body(code_points, order, table, widths, **columns)` under
     `zlib.compress` at `level`, so that it can hold what no valid model
     serializes to. `n_nodes`, when given, stands in for the node count."""
@@ -346,44 +291,3 @@ def compress_bound(n):
     """zlib's `compressBound(n)`: the most bytes `zlib.compress` writes for n
     bytes at any level."""
     return n + (n >> 12) + (n >> 14) + (n >> 25) + 13
-
-
-def rwc2_serialize(model: ContextModel) -> bytes:
-    """The retired RWC2 file of `model`: magic, order (u32), smoothing (f64),
-    glyph count (u32) and code points (u32 each), a u64 context count, then
-    each sorted context as k u32 ids, a u32 row length and the row's sorted
-    (u32 symbol, u64 count) pairs."""
-    k, glyphs, table = model.order, model.alphabet.glyphs, model.counts
-    out = b"RWC2" + struct.pack(f"<IdI{len(glyphs)}IQ", k, model.smoothing, len(glyphs),
-                                *map(ord, glyphs), len(table))
-    for ctx in sorted(table):
-        row = table[ctx]
-        out += struct.pack(f"<{k}II", *ctx, len(row))
-        out += b"".join(struct.pack("<IQ", *pair) for pair in sorted(row.items()))
-    return out
-
-
-def rwc2_parse(data: bytes) -> ContextModel:
-    """Inverse of `rwc2_serialize`; raises `struct.error` or `ValueError` on a
-    file that does not hold a valid model."""
-    if data[:4] != b"RWC2":
-        raise ValueError("not an RWC2 file")
-    order, smoothing, n_glyphs = struct.unpack_from("<IdI", data, 4)
-    glyphs = tuple(map(chr, struct.unpack_from(f"<{n_glyphs}I", data, 20)))
-    pos = 20 + 4 * n_glyphs
-    (n_ctx,) = struct.unpack_from("<Q", data, pos)
-    pos += 8
-    table = {}
-    for _ in range(n_ctx):
-        *ctx, n_row = struct.unpack_from(f"<{order}II", data, pos)
-        pos += 4 * order + 4
-        row = table[tuple(ctx)] = {}
-        for _ in range(n_row):
-            sym, count = struct.unpack_from("<IQ", data, pos)
-            row[sym] = count
-            pos += 12
-        if len(row) != n_row:
-            raise ValueError("a symbol is listed twice")
-    if len(table) != n_ctx or pos != len(data):
-        raise ValueError("a context is listed twice, or trailing data")
-    return ContextModel(Alphabet(glyphs), order, smoothing, table)

@@ -34,7 +34,7 @@ from rwc.model import (
 )
 from rwc.rewind import render_trace
 
-from oracles import model_body, model_file, rwc2_serialize, rwc3_file, rwc4_file, rwc5_file
+from oracles import model_body, model_file
 
 
 @pytest.fixture()
@@ -112,13 +112,9 @@ HOSTILE_MODELS = {
         model_file(MAX_ORDER + 1, 0.1, ETAHS, [((1,) * (MAX_ORDER + 1), [(1, 1)])]),
         f"order {MAX_ORDER + 1} is not in 0..{MAX_ORDER}",
     ),
-    "retired RWC1 version": (
-        b"RWC1" + model_file(0, 0.1, ETAHS, ONE)[4:], "unsupported model version b'1'"
-    ),
-    "retired RWC2 file": (
-        rwc2_serialize(ContextModel(Alphabet(tuple("ETAHS")), 0, 0.1, {(): {1: 1}})),
-        "unsupported model version b'2'",
-    ),
+    # A retired version is refused at its version byte, whatever follows it.
+    "retired RWC1 version": (b"RWC1" + SMALL[4:], "unsupported model version b'1'"),
+    "retired RWC2 file": (b"RWC2" + SMALL[4:], "unsupported model version b'2'"),
     "context listed twice": (
         model_file(0, 0.1, ETAHS, [((), [(1, 1)]), ((), [(2, 1)])]), "a context is listed twice"
     ),
@@ -156,9 +152,9 @@ HOSTILE_MODELS = {
     "order 2**32-1 with no contexts": (
         model_file(2**32 - 1, 0.1, ETAHS, []), f"order {2**32 - 1} is not in 0..{MAX_ORDER}"
     ),
-    "retired RWC3 file": (rwc3_file(0, 0.1, ETAHS, ONE), "unsupported model version b'3'"),
-    "retired RWC4 file": (rwc4_file(0, 0.1, ETAHS, ONE), "unsupported model version b'4'"),
-    "retired RWC5 file": (rwc5_file(0, 0.1, ETAHS, ONE), "unsupported model version b'5'"),
+    "retired RWC3 file": (b"RWC3" + SMALL[4:], "unsupported model version b'3'"),
+    "retired RWC4 file": (b"RWC4" + SMALL[4:], "unsupported model version b'4'"),
+    "retired RWC5 file": (b"RWC5" + SMALL[4:], "unsupported model version b'5'"),
     "tree flag other than 0 or 1": (
         model_file(1, 0.1, ETAHS, LOOP, flags=[2, 0]), "tree flag 2 is not 0 or 1"
     ),

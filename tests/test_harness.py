@@ -249,6 +249,10 @@ class TestScore:
         with pytest.raises(ValueError):
             ScoreReport(hint_bytes=1, errors=0, kept=-5)
 
+    def test_kept_is_reported_only_when_given(self):
+        assert ScoreReport(hint_bytes=1, errors=3).lines() == ["L=1 E=3 score=5", "skipped=3"]
+        assert ScoreReport(1, 3, kept=0).lines() == ["L=1 E=3 score=5", "kept=0", "skipped=3"]
+
     def test_include_without_measurement_rejected(self):
         assert ScoreReport(hint_bytes=1, errors=0).score_with_model is None
 
