@@ -11,7 +11,7 @@ from rwc.harness import (
 )
 from rwc.model import predict, surprise, entropy
 from rwc.rewind import encode_document, render_trace, run_trace
-from rwc.selector import SelectorParams, select_kept, subset_cost
+from rwc.selector import SelectorParams, full_support, select_kept, subset_cost
 
 
 def show_distribution(model, history_text):
@@ -20,7 +20,7 @@ def show_distribution(model, history_text):
     label = repr(history_text) if history_text else "start"
     print(f"  after {label}:")
     probs = dist.probs
-    for i in dist.support():
+    for i in sorted(full_support(dist).members):
         glyph = model.alphabet.glyph_of(i)
         print(f"    p({glyph}) = {probs[i]:.4f}  surprise = {surprise(probs[i]):.4f}")
     print(f"    entropy = {entropy(dist):.4f} bits")

@@ -24,11 +24,9 @@ from .model import (
     BOS,
     Alphabet,
     ContextModel,
-    Distribution,
     ModelFormatError,
     UnknownCharacterError,
     build_alphabet,
-    context_key,
     entropy,
     parse_model,
     predict,
@@ -44,15 +42,12 @@ from .rewind import (
     StepOutcome,
     decode_text,
     encode_document,
-    render_guess_line,
     render_trace,
     run_trace,
 )
 from .selector import (
-    KeptSet,
     SelectorParams,
     full_support,
-    marginal_f,
     select_kept,
     solve_alpha,
     subset_cost,
@@ -69,12 +64,10 @@ __all__ = [
     "DecodeTrace",
     "Decoder",
     "DecoderSession",
-    "Distribution",
     "EncodeReport",
     "Encoder",
     "FrequencyTable",
     "HintsFile",
-    "KeptSet",
     "ModelFormatError",
     "ScoreReport",
     "SelectorParams",
@@ -82,7 +75,6 @@ __all__ = [
     "StepOutcome",
     "UnknownCharacterError",
     "build_alphabet",
-    "context_key",
     "decode_text",
     "encode_document",
     "entropy",
@@ -91,12 +83,10 @@ __all__ = [
     "full_support",
     "gen_bytes",
     "gen_markov",
-    "marginal_f",
     "model_from_chain",
     "parse_model",
     "predict",
     "quantize",
-    "render_guess_line",
     "render_trace",
     "run_trace",
     "select_kept",

@@ -144,14 +144,13 @@ class Distribution(NamedTuple):
             probs[sym] = p
         return tuple(probs)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.probs) if p > 0.0)
-
 
 def surprise(p: float) -> float:
     """Bits of surprise of a probability-p event: log2(1/p)."""
     if p <= 0.0:
         raise ValueError("zero-probability event")
+    if not p <= 1.0:  # NaN fails this too
+        raise ValueError(f"probability {p!r} is not in (0, 1]")
     return math.log2(1.0 / p)
 
 

@@ -251,12 +251,8 @@ def decode_text(
     return "".join(out)
 
 
-def render_guess_line(trace: DecodeTrace, ansi: bool = False) -> str:
-    """One character per position: the guess, marked when it was wrong."""
-    wrong = ("\x1b[31m{}\x1b[0m" if ansi else "[{}]").format
-    return "".join(g if g == t else wrong(g) for g, t in zip(trace.guesses, trace.decoded))
-
-
 def render_trace(trace: DecodeTrace, ansi: bool = False) -> str:
     """The original line over the guess line, wrong guesses highlighted."""
-    return f"{trace.decoded}\n{render_guess_line(trace, ansi=ansi)}"
+    wrong = ("\x1b[31m{}\x1b[0m" if ansi else "[{}]").format
+    guesses = "".join(g if g == t else wrong(g) for g, t in zip(trace.guesses, trace.decoded))
+    return f"{trace.decoded}\n{guesses}"

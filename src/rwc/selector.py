@@ -27,8 +27,8 @@ def marginal_f(x: float) -> float:
     bits (doubled already) and saves x expected errors. Negative means keeping
     helps. Decreasing for x >= alpha, with the root at alpha.
     """
-    if x <= 0.0:
-        raise ValueError("ratio must be positive")
+    if not 0.0 < x < math.inf:  # NaN fails this too
+        raise ValueError(f"ratio {x!r} must be positive and finite")
     return 0.25 * ((1.0 + x) * math.log2(1.0 + x) - x * math.log2(x)) - x
 
 

@@ -30,7 +30,7 @@ from rwc.model import (
     surprise,
     train,
 )
-from rwc.rewind import decode_text, encode_document, render_guess_line, run_trace
+from rwc.rewind import decode_text, encode_document, render_trace, run_trace
 from rwc.selector import (
     SelectorParams,
     marginal_f,
@@ -114,7 +114,7 @@ def test_criterion_05_chain_worked_example():
         hints, report = encode_document(model, PARAMS, "ETAHTETTT")
         assert hints.payload == b"\x77"
         trace = run_trace(model, PARAMS, hints, "ETAHTETTT")
-        assert render_guess_line(trace) == "ET[T]HTETTT"
+        assert render_trace(trace) == "ETAHTETTT\nET[T]HTETTT"
         assert trace.errors == 1
         assert trace.guesses[2] == "T" != trace.decoded[2]
         assert trace.guesses[3] == trace.decoded[3] == "H"
@@ -135,7 +135,7 @@ def test_criterion_07_marginal_identity():
         rng = SplitMix64(ACCEPTANCE_SEED ^ 0x5EED)
         checked = 0
         for dist in seeded_dists(ACCEPTANCE_SEED + 7, 1000, 0.05):
-            support = dist.support()
+            support = tuple(i for i, p in enumerate(dist.probs) if p > 0.0)
             size = 1 + rng.next() % (len(support) - 1)
             members = support[:size]
             outside = [i for i in support if i not in members]

@@ -17,7 +17,6 @@ from rwc.rewind import (
     HintsFile,
     decode_text,
     encode_document,
-    render_guess_line,
     render_trace,
     run_trace,
 )
@@ -200,11 +199,6 @@ class TestTraceMemory:
 
 
 class TestRender:
-    def test_bracketed_guess_line(self, chain_model, params):
-        hints, _ = encode_document(chain_model, params, "ETAHTETTT")
-        trace = run_trace(chain_model, params, hints, "ETAHTETTT")
-        assert render_guess_line(trace) == "ET[T]HTETTT"
-
     def test_trace_layout_original_over_guesses(self, chain_model, params):
         hints, _ = encode_document(chain_model, params, "ETAHTETTT")
         trace = run_trace(chain_model, params, hints, "ETAHTETTT")
@@ -213,9 +207,7 @@ class TestRender:
     def test_ansi_highlighting(self, chain_model, params):
         hints, _ = encode_document(chain_model, params, "ETAHTETTT")
         trace = run_trace(chain_model, params, hints, "ETAHTETTT")
-        line = render_guess_line(trace, ansi=True)
-        assert "\x1b[31mT\x1b[0m" in line
-        assert "[T]" not in line
+        assert render_trace(trace, ansi=True) == "ETAHTETTT\nET\x1b[31mT\x1b[0mHTETTT"
 
     @pytest.mark.parametrize("ansi", [False, True])
     def test_format_characters_are_marked_verbatim(self, ansi):
@@ -232,10 +224,11 @@ class TestRender:
 
         pairs = [("{", "a"), ("}", "}"), ("}", "{"), ("[", "]"), ("%", "s"), ("%", "%"), ("{", "{")]
         trace = DecodeTrace("".join(g for g, _ in pairs), "".join(t for _, t in pairs))
-        line = render_guess_line(trace, ansi=ansi)
-        assert line == oracle_guess_line(trace, ansi)
-        assert line == ("\x1b[31m{\x1b[0m}\x1b[31m}\x1b[0m\x1b[31m[\x1b[0m\x1b[31m%\x1b[0m%{"
-                        if ansi else "[{]}[}][[][%]%{")
+        rendered = render_trace(trace, ansi=ansi)
+        assert rendered == f"{trace.decoded}\n{oracle_guess_line(trace, ansi)}"
+        assert rendered == "a}{]s%{\n" + (
+            "\x1b[31m{\x1b[0m}\x1b[31m}\x1b[0m\x1b[31m[\x1b[0m\x1b[31m%\x1b[0m%{"
+            if ansi else "[{]}[}][[][%]%{")
 
 
 class TestLossless:

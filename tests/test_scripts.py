@@ -1,11 +1,16 @@
-"""The example scripts run end to end against the package sources."""
+"""The example scripts and README's library tour run end to end against the package sources."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from rwc.model import train
+from rwc.rewind import encode_document
+from rwc.selector import SelectorParams
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,6 +37,26 @@ def test_corpus_eval_prints_the_score_summary():
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
         assert any(line.startswith("L=") and " score=" in line for line in lines)
+
+
+def test_readme_library_tour_runs(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    frozen = (ROOT / "bench" / "data" / "text-d454171.txt").read_text(encoding="utf-8")
+    corpus, doc = frozen[:100_000], frozen[100_000:103_000]
+    assert set(doc) <= set(corpus)  # the tour's model must know every character of doc.txt
+    hints, _ = encode_document(train(corpus, 2, 0.1), SelectorParams.default(), doc)
+    (tmp_path / "corpus.txt").write_text(corpus, encoding="utf-8")
+    (tmp_path / "doc.txt").write_text(doc, encoding="utf-8")
+    (tmp_path / "doc.hints").write_bytes(hints.payload)
+    monkeypatch.chdir(tmp_path)
+    tour = {"__name__": "readme_tour"}
+    exec(compile(blocks[0], "README.md", "exec"), tour)
+    assert tour["hints"] == hints and tour["trace"].decoded == doc
+    report = tour["report"]
+    assert capsys.readouterr().out.splitlines() == [
+        str(report.errors), f"{report.kept} {report.errors} {report.score}"]
 
 
 MISSING = object()  # stands for a path that does not exist
