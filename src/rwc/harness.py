@@ -63,7 +63,10 @@ class ScoreReport:
     model_bytes: int | None = None
 
     def __post_init__(self):
-        if min(self.hint_bytes, self.errors, self.kept or 0, self.model_bytes or 0) < 0:
+        optional = [c for c in (self.kept, self.model_bytes) if c is not None]
+        if any(type(c) is not int for c in (self.hint_bytes, self.errors, *optional)):
+            raise ValueError(f"counts must be ints, got {self}")  # a float or bool prints as a count
+        if min(self.hint_bytes, self.errors, *optional) < 0:
             raise ValueError("counts cannot be negative")
 
     @property

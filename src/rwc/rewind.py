@@ -205,6 +205,14 @@ class DecoderSession:
         self._position += 1
         return StepOutcome(self._glyphs[guess_sym - 1], truth)
 
+    def _take(self) -> str:
+        """Decode the guess once, with no checkpoint, and shift it in as the truth."""
+        members, table, _ = self._plans[self._ctx]
+        guess_sym = members[self._decoder.decode(table)]
+        self._ctx = (self._ctx + (guess_sym,))[1:]
+        self._position += 1
+        return self._glyphs[guess_sym - 1]
+
 
 def run_trace(
     model: ContextModel,
@@ -238,17 +246,8 @@ def decode_text(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    plans = _PlanCache(model, params, lossless)
-    decode = Decoder(hints.payload).decode
-    glyphs = model.alphabet.glyphs  # id i is glyphs[i - 1]; plans never keep id 0
-    ctx = context_key(model.order, ())
-    out = []
-    for _ in range(n):
-        members, table, _ = plans[ctx]
-        sym = members[decode(table)]
-        out.append(glyphs[sym - 1])
-        ctx = (ctx + (sym,))[1:]
-    return "".join(out)
+    take = DecoderSession(model, params, hints, lossless=lossless)._take
+    return "".join([take() for _ in range(n)])
 
 
 def render_trace(trace: DecodeTrace, ansi: bool = False) -> str:

@@ -112,9 +112,6 @@ HOSTILE_MODELS = {
         model_file(MAX_ORDER + 1, 0.1, ETAHS, [((1,) * (MAX_ORDER + 1), [(1, 1)])]),
         f"order {MAX_ORDER + 1} is not in 0..{MAX_ORDER}",
     ),
-    # A retired version is refused at its version byte, whatever follows it.
-    "retired RWC1 version": (b"RWC1" + SMALL[4:], "unsupported model version b'1'"),
-    "retired RWC2 file": (b"RWC2" + SMALL[4:], "unsupported model version b'2'"),
     "context listed twice": (
         model_file(0, 0.1, ETAHS, [((), [(1, 1)]), ((), [(2, 1)])]), "a context is listed twice"
     ),
@@ -152,9 +149,6 @@ HOSTILE_MODELS = {
     "order 2**32-1 with no contexts": (
         model_file(2**32 - 1, 0.1, ETAHS, []), f"order {2**32 - 1} is not in 0..{MAX_ORDER}"
     ),
-    "retired RWC3 file": (b"RWC3" + SMALL[4:], "unsupported model version b'3'"),
-    "retired RWC4 file": (b"RWC4" + SMALL[4:], "unsupported model version b'4'"),
-    "retired RWC5 file": (b"RWC5" + SMALL[4:], "unsupported model version b'5'"),
     "tree flag other than 0 or 1": (
         model_file(1, 0.1, ETAHS, LOOP, flags=[2, 0]), "tree flag 2 is not 0 or 1"
     ),

@@ -249,6 +249,22 @@ class TestScore:
         with pytest.raises(ValueError):
             ScoreReport(hint_bytes=1, errors=0, kept=-5)
 
+    def test_a_count_that_is_not_an_int_is_refused(self, eta_model, params):
+        counts = {"hint_bytes": 1, "errors": 0, "kept": 2, "model_bytes": 3}
+        for field in counts:
+            values = [1.5, 2.0, True, False, "1"]
+            if field in ("hint_bytes", "errors"):  # only kept and model_bytes may be None
+                values.append(None)
+            for value in values:
+                with pytest.raises(ValueError, match="^counts must be ints, got ") as refused:
+                    ScoreReport(**{**counts, field: value})
+                assert f"{field}={value!r}" in str(refused.value)
+        assert ScoreReport(1, 0, kept=None, model_bytes=None).lines() == [
+            "L=1 E=0 score=2", "skipped=0",
+        ]
+        with pytest.raises(ValueError, match="model_bytes=2.5"):
+            evaluate(eta_model, params, "ETE", model_bytes=2.5)
+
     def test_kept_is_reported_only_when_given(self):
         assert ScoreReport(hint_bytes=1, errors=3).lines() == ["L=1 E=3 score=5", "skipped=3"]
         assert ScoreReport(1, 3, kept=0).lines() == ["L=1 E=3 score=5", "kept=0", "skipped=3"]

