@@ -284,13 +284,18 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
     always gets probability 0. Only the matched row's ids can rise above the
     floor that every unseen id gets (beta/total, or 0 without smoothing), so
     only those that do are kept, in the returned distribution's `row`.
-    A `str` history is refused: its characters would match no context.
+    A `str` history is refused: its characters would match no context, and so
+    is a context id outside the alphabet, checked only when the lookup misses.
     """
     if isinstance(history, str):
         raise TypeError("history is symbol ids, not text; map text with model.alphabet.encode")
     n, j, tables = model.alphabet.size, model.order, model.tables
     key = context_key(j, history)
     counts = tables[j].get(key)
+    if counts is None:  # a hit needs no check: every trained context is valid
+        for sym in key:
+            if not 0 <= sym < n:
+                raise ValueError(f"symbol id {sym} outside alphabet")
     while counts is None:  # back off: drop the oldest id; rows are never empty
         j -= 1
         key = key[1:]

@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 from operator import ne
 
-from rwc.coder import TOTAL
 from rwc.harness import (
     ACCEPTANCE_SEED,
     ChainSource,

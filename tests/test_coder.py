@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rwc.coder import (
     HALF,
     MASK,
-    PRECISION,
     QUARTER,
     THREE_QUARTERS,
     TOTAL,
@@ -333,7 +332,8 @@ class OracleEncoder:
 
 class OracleDecoder:
     """The decoder that read each bit from the payload bytes with a bounds
-    branch and shift/mask arithmetic."""
+    branch and shift/mask arithmetic. It runs every step under a one-member
+    table too, so it is also the oracle of `Decoder.decode`'s early return."""
 
     def __init__(self, payload):
         self.payload = payload
@@ -428,6 +428,7 @@ def decode_in_step(payload, plan):
 SKEWED = FrequencyTable.from_freqs((65535, 1))
 MIDDLE = FrequencyTable.from_freqs((32767, 2, 32767))
 LOW_BYTE = FrequencyTable.from_freqs((256, 65280))
+CERTAIN = FrequencyTable((0, TOTAL))
 
 TABLES = st.lists(
     st.one_of(
@@ -436,6 +437,8 @@ TABLES = st.lists(
         ),
         # symbols of about 8 and 16 bits, so runs of s >= 8 settled bits occur
         st.just(FrequencyTable.from_freqs((65279, 256, 1))),
+        # one member: the coder's early return meets the oracle, which has none
+        st.just(CERTAIN),
     ),
     min_size=1,
     max_size=4,
@@ -515,9 +518,6 @@ class TestAgainstTheBitwiseCoder:
             assert any(a < end < b for a, b in reads)
 
 
-CERTAIN = FrequencyTable((0, TOTAL))
-
-
 @settings(max_examples=300)
 @given(
     TABLES,
@@ -548,71 +548,3 @@ def test_a_one_member_table_never_moves_the_coder(tables, raw, garbage):
                 assert dec.checkpoint() == before
         if stream is payload:
             assert decoded == syms
-
-
-class DecoderBeforeTheOneMemberReturn(Decoder):
-    """`Decoder.decode` as it was before it returned at once on a
-    two-entry `cum`: it read `table.cum` at each use and ran every step."""
-
-    def decode(self, table):
-        low, code, i = self.low, self.code, self.bits_read
-        rng = self.high - low + 1
-        value = ((code - low + 1) * TOTAL - 1) // rng
-        index = bisect_right(table.cum, value) - 1
-        high = low + (rng * table.cum[index + 1]) // TOTAL - 1
-        low += (rng * table.cum[index]) // TOTAL
-        if low ^ high < QUARTER:
-            t = (low ^ high).bit_length()
-            s = PRECISION - t
-            code = (code << s & MASK) | int(self._stream[i : i + s].ljust(s, "0"), 2)
-            i += s
-            low = low << s & MASK
-            high = (high << s | MASK >> t) & MASK
-        while True:
-            if high < HALF:
-                pass
-            elif low >= HALF:
-                low -= HALF
-                high -= HALF
-                code -= HALF
-            elif low >= QUARTER and high < THREE_QUARTERS:
-                low -= QUARTER
-                high -= QUARTER
-                code -= QUARTER
-            else:
-                break
-            low <<= 1
-            high = (high << 1) | 1
-            code = (code << 1) | (self._stream[i : i + 1] == "1")
-            i += 1
-        self.low, self.high, self.code, self.bits_read = low, high, code, i
-        return index
-
-
-@settings(max_examples=300)
-@given(
-    TABLES,
-    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 23)), max_size=150),
-    st.binary(max_size=24),
-    st.integers(0, 2**64 - 1),
-)
-def test_decode_matches_the_body_without_the_one_member_return(tables, raw, garbage, seed):
-    """Over plans that mix one-member tables with others, on the real payload
-    and on garbage, with rewinds to random earlier checkpoints: the index and
-    the checkpoint after every call are those of the earlier body."""
-    pool = [*tables, CERTAIN]
-    plan = [pool[t % len(pool)] for t, _ in raw] or pool
-    syms = [s % (len(table.cum) - 1) for table, (_, s) in zip(plan, raw)]
-    payload, _ = encode_all(zip(plan, syms))
-    rng = SplitMix64(seed)
-    for stream in (payload, garbage):
-        new, old = Decoder(stream), DecoderBeforeTheOneMemberReturn(stream)
-        saved = [new.checkpoint()]
-        for table in plan + pool:
-            if rng.next() % 8 == 0:
-                state = saved[rng.next() % len(saved)]
-                new.restore(state)
-                old.restore(state)
-            assert new.decode(table) == old.decode(table)
-            assert new.checkpoint() == old.checkpoint()
-            saved.append(new.checkpoint())

@@ -240,6 +240,15 @@ class TestPredict:
         d = predict(m, [b, b])
         assert d.probs[a] == 1.0
 
+    def test_a_context_id_outside_the_alphabet_is_refused(self, chain_model):
+        # it would match no context and fall back to the order-0 row
+        e = chain_model.alphabet.id_of("E")
+        for sym in (999, -1, chain_model.alphabet.size):
+            with pytest.raises(ValueError, match=f"symbol id {sym} outside alphabet"):
+                predict(chain_model, [e, sym])
+        with pytest.raises(TypeError):
+            predict(chain_model, [None])
+
     def test_unsmoothed_prediction_is_exact_count_ratio(self):
         m = train("ETATEETTT", 0, 0.0)
         d = predict(m, [])

@@ -1,13 +1,13 @@
 """Static checks over the package source, in place of a linter.
 
 The runtime is stdlib only, so every absolute import must name a standard
-library module. And every name a module imports must be used in it;
-`__init__.py` is exempt, because it imports to re-export. What it imports is
-exactly what `rwc.__all__` lists, once each and sorted, so a deleted name
-cannot leave a stale export behind. And every exported name is named by a
-script, the benchmark or README.md: a name that only the package's own
-modules or the tests use stays importable from its module but is not
-exported, so the export list cannot grow a second form of a fact.
+library module. And every name a module, a test or a script imports must be
+used in it; `__init__.py` is exempt, because it imports to re-export. What
+it imports is exactly what `rwc.__all__` lists, once each and sorted, so a
+deleted name cannot leave a stale export behind. And every exported name is
+named by a script, the benchmark or README.md: a name that only the
+package's own modules or the tests use stays importable from its module but
+is not exported, so the export list cannot grow a second form of a fact.
 No module binds a mutable container at top level, so the package keeps no
 process-wide state such as a memo.
 """
@@ -23,6 +23,8 @@ import rwc
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "rwc").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def parse(path):
@@ -49,7 +51,7 @@ def test_absolute_imports_are_stdlib(path):
     assert foreign == []
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"] + TESTS + SCRIPTS,
                          ids=lambda p: p.name)
 def test_imported_names_are_used(path):
     tree = parse(path)
@@ -73,7 +75,7 @@ def test_all_lists_each_imported_name_once_in_order():
 
 def test_every_export_has_a_caller_outside_the_tests():
     used = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
-    for path in sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+    for path in SCRIPTS + sorted((ROOT / "bench").glob("*.py")):
         for node in ast.walk(parse(path)):
             if isinstance(node, ast.Name):
                 used.add(node.id)
