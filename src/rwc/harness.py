@@ -113,14 +113,13 @@ def evaluate(
     plans = _PlanCache(model, params, lossless)
     hints, report = encode_document(model, params, text, lossless=lossless, plans=plans)
     trace = run_trace(model, params, hints, text, lossless=lossless, plans=plans)
-    if trace.errors != report.skipped:
-        raise AssertionError(
-            f"decoder made {trace.errors} errors but encoder skipped {report.skipped}"
-        )
+    errors = trace.errors  # a pass over both strings, so taken once
+    if errors != report.skipped:
+        raise AssertionError(f"decoder made {errors} errors but encoder skipped {report.skipped}")
     return (
         ScoreReport(
             hint_bytes=hints.byte_length,
-            errors=trace.errors,
+            errors=errors,
             model_bytes=len(serialize_model(model)) if model_bytes is None else model_bytes,
             kept=len(text) - report.skipped,
         ),

@@ -3,9 +3,13 @@
 A model is an alphabet of glyphs, one count table for context order k, and
 an additive smoothing constant. The tables for orders k-1 down to 0, which
 prediction backs off to, are exact marginals of the order-k one, so they are
-derived when the model is built and never stored. Everything is
+never written to a model file. They are derived on their first read, so a
+model that is trained and only written never derives them. Everything is
 deterministic, and a model never changes after training or parsing, so it is
-safe to share between concurrent encode/decode sessions.
+safe to share between concurrent encode/decode sessions. That holds for the
+first read too: on CPython 3.11 `cached_property` takes a lock, and on 3.12
+and later two first readers may each derive the tables, which are equal, and
+the last store wins.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import zlib
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import add, is_, itemgetter
@@ -170,18 +174,17 @@ class ContextModel:
     """Trained order-k model: the order-k count table plus smoothing.
 
     `counts` maps each length-k context to {symbol id: count}; the model keeps
-    the table it is given, not a copy. Constructing a model validates it and
-    derives `tables`, where tables[j] is the order-j table (tables[k] is
-    `counts` itself) and each lower order is summed from the one above. Two
-    models are equal when their alphabet, order, smoothing and `counts` are;
-    `tables` follows from those.
+    the table it is given, not a copy. Constructing a model validates it.
+    `tables` is derived on its first read: tables[j] is the order-j table
+    (tables[k] is `counts` itself) and each lower order is summed from the
+    one above. Two models are equal when their alphabet, order, smoothing and
+    `counts` are; `tables` follows from those.
     """
 
     alphabet: Alphabet
     order: int
     smoothing: float
     counts: Table
-    tables: list[Table] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.alphabet.size
@@ -217,16 +220,22 @@ class ContextModel:
                     if type(sym) is not int or not 0 < sym < n:
                         raise ValueError(f"symbol id {sym} outside alphabet")
                     raise ValueError(f"count {c!r} is not an integer in 1..2**64-1")
-        self.tables = [{} for _ in range(k)] + [counts]
-        for j in range(k, 0, -1):
-            lower = self.tables[j - 1]
-            for ctx, row in self.tables[j].items():
-                bucket = lower.get(ctx[1:])
+
+    @cached_property
+    def tables(self) -> list[Table]:
+        """The table of each order 0..k, derived from `counts` on the first read."""
+        tables = [{} for _ in range(self.order)] + [self.counts]
+        for j in range(self.order, 0, -1):
+            lower = tables[j - 1]
+            for ctx, row in tables[j].items():
+                tail = ctx[1:]
+                bucket = lower.get(tail)
                 if bucket is None:  # a copy: a derived row never aliases an upper one
-                    lower[ctx[1:]] = row.copy()
+                    lower[tail] = row.copy()
                 else:
                     for sym, c in row.items():
                         bucket[sym] = bucket.get(sym, 0) + c
+        return tables
 
 
 def context_key(order: int, history: Sequence[int]) -> tuple[int, ...]:
@@ -536,9 +545,10 @@ def parse_model(data: bytes) -> ContextModel:
     if order:
         # Every entry's successor must be a node: a child, whose flagged entry
         # is the one that leads to it, or a root. The successor of (c, s) is
-        # c[1:] + (s,), so the order-(k-1) table, which the model derives
-        # anyway, lists each distinct successor once. Without this check, a
-        # file read at another order than it was written at could load.
+        # c[1:] + (s,), so the order-(k-1) table lists each distinct successor
+        # once. Reading it derives every order here, work that the loaded
+        # model's first prediction needs anyway. Without this check, a file
+        # read at another order than it was written at could load.
         lower = model.tables[order - 1]
         met = sum(map(len, lower.values()))
         if n_roots:  # a root may be a successor too

@@ -724,9 +724,9 @@ def count_tables(draw):
 
 
 class TestBulkValidation:
-    """The constructor checks contexts in bulk and copies each row it derives
-    first; `oracle_tables` checks every entry on its own and builds every
-    derived row up from an empty dict."""
+    """The constructor checks contexts in bulk, and `tables` copies each row
+    it derives first; `oracle_tables` checks every entry on its own and
+    builds every derived row up from an empty dict."""
 
     @settings(max_examples=500)
     @given(count_tables())
@@ -766,10 +766,28 @@ class TestBulkValidation:
     def test_a_parsed_model_derives_the_oracle_tables(self, m):
         parsed = parse_model(serialize_model(m))
         assert parsed == m
+        # Loading pays for the derivation; at order 0 there is none to pay.
+        assert m.order == 0 or "tables" in vars(parsed)
         assert parsed.tables == m.tables
         assert in_order(parsed.tables) == in_order(
             oracle_tables(m.alphabet.size, m.order, parsed.counts)
         )
+
+
+class TestTablesOnFirstRead:
+    """The lower orders are derived on the first read of `tables`: writing a
+    model never reads them, and predicting does. Loading one does too, as
+    `test_a_parsed_model_derives_the_oracle_tables` checks."""
+
+    def test_train_then_serialize_derives_nothing_and_the_first_predict_does(self):
+        m = train("the cat sat on the mat", 3, 0.1)
+        blob = serialize_model(m)
+        assert "tables" not in vars(m)
+        predict(m, m.alphabet.encode("the"))
+        assert in_order(vars(m)["tables"]) == in_order(
+            oracle_tables(m.alphabet.size, m.order, m.counts)
+        )
+        assert serialize_model(m) == blob
 
 
 def per_order_tables(corpus, order, alphabet):
