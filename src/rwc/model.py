@@ -3,13 +3,14 @@
 A model is an alphabet of glyphs, one count table for context order k, and
 an additive smoothing constant. The tables for orders k-1 down to 0, which
 prediction backs off to, are exact marginals of the order-k one, so they are
-never written to a model file. They are derived on their first read, so a
-model that is trained and only written never derives them. Everything is
-deterministic, and a model never changes after training or parsing, so it is
-safe to share between concurrent encode/decode sessions. That holds for the
-first read too: on CPython 3.11 `cached_property` takes a lock, and on 3.12
-and later two first readers may each derive the tables, which are equal, and
-the last store wins.
+never written to a model file. They are derived on their first read, which
+is the first prediction that backs off, or a load. So a model that is trained
+and only written, or whose every prediction hits an order-k context, never
+derives them. Everything is deterministic, and a model never changes after
+training or parsing, so it is safe to share between concurrent encode/decode
+sessions. That holds for the first read too: on CPython 3.11
+`cached_property` takes a lock, and on 3.12 and later two first readers may
+each derive the tables, which are equal, and the last store wins.
 """
 
 from __future__ import annotations
@@ -295,25 +296,33 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
     only those that do are kept, in the returned distribution's `row`.
     A `str` history is refused: its characters would match no context, and so
     is a context id outside the alphabet, checked only when the lookup misses.
+    The lower orders' tables are read, and so derived, only when it misses.
     """
-    if isinstance(history, str):
-        raise TypeError("history is symbol ids, not text; map text with model.alphabet.encode")
-    n, j, tables = model.alphabet.size, model.order, model.tables
-    key = context_key(j, history)
-    counts = tables[j].get(key)
+    j, key = model.order, history
+    if type(key) is not tuple or len(key) != j:  # the plan cache passes the context itself
+        if isinstance(history, str):
+            raise TypeError("history is symbol ids, not text; map text with model.alphabet.encode")
+        key = context_key(j, history)
+    n = len(model.alphabet.glyphs) + 1  # `Alphabet.size`, without the property call
+    counts = model.counts.get(key)
     if counts is None:  # a hit needs no check: every trained context is valid
         for sym in key:
             if not 0 <= sym < n:
                 raise ValueError(f"symbol id {sym} outside alphabet")
-    while counts is None:  # back off: drop the oldest id; rows are never empty
-        j -= 1
-        key = key[1:]
-        counts = tables[j].get(key)
+        tables = model.tables
+        while counts is None:  # back off: drop the oldest id; rows are never empty
+            j -= 1
+            key = key[1:]
+            counts = tables[j].get(key)
     beta = model.smoothing or 0  # int 0 keeps c / total exact; c + 0.0 rounds past 2**53
     total = sum(counts.values()) + beta * (n - 1)
     floor = beta / total
-    row = {sym: p for sym, c in counts.items() if (p := (c + beta) / total) > floor}
-    return Distribution(row, floor, n)
+    row = {}
+    for sym, c in counts.items():  # a loop, not a comprehension: no frame per call
+        p = (c + beta) / total
+        if p > floor:
+            row[sym] = p
+    return tuple.__new__(Distribution, (row, floor, n))  # skips the namedtuple's Python __new__
 
 
 def _column(items: Sequence[int]) -> bytes:

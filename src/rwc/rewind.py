@@ -107,7 +107,7 @@ class _PlanCache(dict):
         table = self._tables.get(renorm)
         if table is None:
             table = self._tables[renorm] = FrequencyTable.from_freqs(quantize(renorm))
-        plan = self[ctx] = (members, table, {sym: i for i, sym in enumerate(members)})
+        plan = self[ctx] = (members, table, dict(zip(members, range(len(members)))))
         return plan
 
 

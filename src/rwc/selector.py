@@ -101,6 +101,10 @@ def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
     with a NaN or an infinity may give a NaN renorm, which `quantize` refuses.
     """
     row, floor, alpha = dist.row, dist.floor, params.alpha
+    if len(row) == 1:  # one entry needs no ranking unless the floor clears alpha behind it
+        ((i, p),) = row.items()
+        if floor < alpha * p and p > 0.0:  # a positive p clears alpha * 0.0, as below
+            return tuple.__new__(KeptSet, ((i,), (p / p,), p))
     ranked, tail = _ranked(dist)
     members, mass = [], 0.0
     for i in ranked:  # alpha * 0.0 is 0 or NaN, so the first ranked id is kept
@@ -116,7 +120,8 @@ def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
             mass += floor
     if not members:
         raise ValueError("distribution has empty support")
-    return KeptSet(tuple(members), tuple([row.get(i, floor) / mass for i in members]), mass)
+    renorm = tuple([row.get(i, floor) / mass for i in members])
+    return tuple.__new__(KeptSet, (tuple(members), renorm, mass))  # skips the Python __new__
 
 
 # Every positive probability clears 0 times the kept mass.

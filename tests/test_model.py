@@ -776,18 +776,28 @@ class TestBulkValidation:
 
 class TestTablesOnFirstRead:
     """The lower orders are derived on the first read of `tables`: writing a
-    model never reads them, and predicting does. Loading one does too, as
-    `test_a_parsed_model_derives_the_oracle_tables` checks."""
+    model never reads them, and a prediction that backs off does. Loading
+    one does too, as `test_a_parsed_model_derives_the_oracle_tables` checks."""
 
     def test_train_then_serialize_derives_nothing_and_the_first_predict_does(self):
         m = train("the cat sat on the mat", 3, 0.1)
         blob = serialize_model(m)
         assert "tables" not in vars(m)
-        predict(m, m.alphabet.encode("the"))
+        predict(m, m.alphabet.encode("mat"))  # nothing follows "mat": backs off to "at"
         assert in_order(vars(m)["tables"]) == in_order(
             oracle_tables(m.alphabet.size, m.order, m.counts)
         )
         assert serialize_model(m) == blob
+
+    def test_a_prediction_that_hits_derives_nothing(self):
+        m = train("the cat sat on the mat", 3, 0.1)
+        predict(m, m.alphabet.encode("the"))
+        predict(m, tuple(m.alphabet.encode("the")))
+        assert "tables" not in vars(m)
+        predict(m, m.alphabet.encode("mat"))
+        assert in_order(vars(m)["tables"]) == in_order(
+            oracle_tables(m.alphabet.size, m.order, m.counts)
+        )
 
 
 def per_order_tables(corpus, order, alphabet):

@@ -20,10 +20,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rwc.coder
+import rwc.model
+import rwc.rewind
 import rwc.selector
 from rwc.coder import quantize
 from rwc.model import Alphabet, ContextModel, build_alphabet, predict, train
-from rwc.rewind import encode_document
+from rwc.rewind import _PlanCache, encode_document
 from rwc.selector import SelectorParams, full_support, select_kept
 
 from oracles import dense
@@ -65,10 +67,18 @@ def plans(dist):
     return out
 
 
+def predicted_plans(model):
+    """The plans of `model`'s prediction at (), as `plans` gives them, and
+    the lossy and lossless plan cache's members and table there."""
+    cached = [_PlanCache(model, PARAMS, lossless)[()] for lossless in (False, True)]
+    return plans(predict(model, ())), [(members, table.cum) for members, table, _ in cached]
+
+
 def under_compensated_sum(fn, *args):
+    """`fn(*args)` with every plan-stage module's `sum` compensated."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rwc.selector, "sum", compensated_sum, raising=False)
-        mp.setattr(rwc.coder, "sum", compensated_sum, raising=False)
+        for module in (rwc.model, rwc.selector, rwc.coder, rwc.rewind):
+            mp.setattr(module, "sum", compensated_sum, raising=False)
         return fn(*args)
 
 
@@ -86,7 +96,8 @@ def test_drift_case_plans_ignore_a_compensated_sum():
     dist = drift_dist()
     assert under_compensated_sum(plans, dist) == plans(dist)
     model = ContextModel(Alphabet("abcd"), 0, 0.1, {(): dict(enumerate(DRIFT_COUNTS, 1))})
-    assert under_compensated_sum(plans, predict(model, ())) == plans(dist)
+    assert under_compensated_sum(predicted_plans, model) == predicted_plans(model)
+    assert predicted_plans(model)[0] == plans(dist)
 
 
 @given(
@@ -97,8 +108,7 @@ def test_drift_case_plans_ignore_a_compensated_sum():
 def test_predicted_plans_ignore_a_compensated_sum(counts, unseen, smoothing):
     alphabet = Alphabet(tuple(chr(0x61 + i) for i in range(len(counts) + unseen)))
     model = ContextModel(alphabet, 0, smoothing, {(): dict(enumerate(counts, 1))})
-    dist = predict(model, ())
-    assert under_compensated_sum(plans, dist) == plans(dist)
+    assert under_compensated_sum(predicted_plans, model) == predicted_plans(model)
 
 
 # sha256 of the hints payload for the last tenth of the frozen corpus, coded

@@ -173,6 +173,7 @@ def assert_same_plan(model, history, lossless):
     assert BOS not in dist.row and all(p > dist.floor for p in dist.row.values())
     want = oracle_predict(model, history)
     assert bits(dist.probs) == bits(want.probs)
+    assert bits(predict(model, tuple(history)).probs) == bits(dist.probs)
     got = outcome(plan, dist, lossless, select_kept, full_support, quantize,
                   FrequencyTable.from_freqs)
     assert got == outcome(plan, want, lossless, oracle_select_kept, oracle_full_support,
