@@ -68,23 +68,6 @@ class KeptSet(NamedTuple):
     mass: float
 
 
-def _ranked(dist: Distribution) -> tuple[list[int], Iterable[int]]:
-    """Positive-probability ids, highest first, tied ids ascending, in two parts.
-
-    The first part ranks the row. The second, when the floor is positive,
-    yields lazily and in ascending order the ids 1..size-1 outside the row.
-    Those all share the floor probability, which is below every row entry,
-    so the parts in turn are the order a stable sort of every id by
-    probability gives.
-    """
-    row = dist.row
-    ranked = sorted(row)
-    if len(ranked) > 1:
-        ranked.sort(key=row.__getitem__, reverse=True)  # stable: tied ids stay ascending
-    tail = filterfalse(row.__contains__, range(1, dist.size)) if dist.floor > 0.0 else ()
-    return ranked, tail
-
-
 def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
     """Largest prefix of the probability ordering whose members all clear alpha.
 
@@ -105,7 +88,9 @@ def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
         ((i, p),) = row.items()
         if floor < alpha * p and p > 0.0:  # a positive p clears alpha * 0.0, as below
             return tuple.__new__(KeptSet, ((i,), (p / p,), p))
-    ranked, tail = _ranked(dist)
+    ranked = sorted(row)
+    if len(ranked) > 1:
+        ranked.sort(key=row.__getitem__, reverse=True)  # stable: tied ids stay ascending
     members, mass = [], 0.0
     for i in ranked:  # alpha * 0.0 is 0 or NaN, so the first ranked id is kept
         p = row[i]
@@ -114,10 +99,11 @@ def select_kept(dist: Distribution, params: SelectorParams) -> KeptSet:
         members.append(i)
         mass += p
     else:  # the whole row is kept, so the ids at the floor follow while they clear alpha
-        tail = iter(tail)
-        while not floor < alpha * mass and (i := next(tail, 0)):  # ids are >= 1
-            members.append(i)
-            mass += floor
+        if floor > 0.0:  # ascending, as they tie below every row entry
+            tail = filterfalse(row.__contains__, range(1, dist.size))
+            while not floor < alpha * mass and (i := next(tail, 0)):  # ids are >= 1
+                members.append(i)
+                mass += floor
     if not members:
         raise ValueError("distribution has empty support")
     renorm = tuple([row.get(i, floor) / mass for i in members])

@@ -6,7 +6,9 @@ id. `make_kept` builds a kept set from its members as the oracles do, and
 at any threshold in `ALPHA_VALUES`, holds by construction.
 `brute_force_kept` is the exhaustive selection oracle, `validate` checks
 that a distribution is a probability distribution, and `uniform_byte_model`
-is the order-0 model of uniformly random bytes. `oracle_glyph_fault` and
+is the order-0 model of uniformly random bytes. `models` draws a small
+hand-built model for the differential suites, and `histories` gives each
+context of its count table and some drawn histories. `oracle_glyph_fault` and
 `oracle_tables` check glyphs and a count table entry by entry, as
 `Alphabet` and `ContextModel` did before they checked in bulk.
 `model_columns` lists an RWC6 file's nodes one at a time from a FIFO
@@ -26,6 +28,8 @@ import zlib
 from collections import deque
 from functools import reduce
 from operator import add
+
+from hypothesis import strategies as st
 
 from rwc.harness import ChainSource, model_from_chain
 from rwc.model import (
@@ -112,6 +116,40 @@ def brute_force_kept(dist: Distribution) -> KeptSet:
 def uniform_byte_model() -> ContextModel:
     """Order-0 uniform model over all 256 byte values (as latin-1 glyphs)."""
     return model_from_chain(ChainSource.iid([chr(b) for b in range(256)], [1 / 256] * 256), 256)
+
+
+# 2**60 swamps any count up to 9 (c + beta == beta), so those seen ids tie with
+# the floor and stay out of the row; 5e-324 rounds the floor itself to 0, so
+# unseen ids drop out. A model file can carry -0.0, which must predict exactly as 0.0.
+SMOOTHINGS = [0.0, -0.0, 0.1, 1.0, 1e12, 2.0**60, 5e-324]
+
+
+@st.composite
+def models(draw) -> ContextModel:
+    """A hand-built model over the glyphs A, B, ...: 1-6 glyphs, order 0-3,
+    1-6 contexts of any ids, and rows of one entry, any size or every glyph,
+    with counts of 1-9, up to MAX_COUNT, or MAX_COUNT."""
+    n_glyphs = draw(st.integers(1, 6))
+    order = draw(st.integers(0, 3))
+    smoothing = draw(st.sampled_from(SMOOTHINGS))
+    sym = st.integers(1, n_glyphs)
+    count = st.one_of(st.integers(1, 9), st.integers(1, MAX_COUNT), st.just(MAX_COUNT))
+    row = st.one_of(
+        st.dictionaries(sym, count, min_size=1, max_size=1),
+        st.dictionaries(sym, count, min_size=1),
+        st.fixed_dictionaries({s: count for s in range(1, n_glyphs + 1)}),
+    )
+    contexts = st.lists(st.integers(0, n_glyphs), min_size=order, max_size=order).map(tuple)
+    table = draw(st.dictionaries(contexts, row, min_size=1, max_size=6))
+    alphabet = Alphabet(tuple(chr(0x41 + i) for i in range(n_glyphs)))
+    return ContextModel(alphabet, order, smoothing, table)
+
+
+def histories(model: ContextModel, data, count: int) -> list[list[int]]:
+    """Every context of `model`'s count table, as a list, then `count`
+    histories of up to 6 ids drawn from `data`."""
+    drawn = st.lists(st.integers(1, model.alphabet.size - 1), max_size=6)
+    return [list(ctx) for ctx in model.counts] + [data.draw(drawn) for _ in range(count)]
 
 
 def oracle_glyph_fault(glyphs) -> str | None:

@@ -3,7 +3,7 @@
 A plan is predict -> select_kept (or full_support) -> quantize ->
 FrequencyTable.from_freqs. The oracle functions below are the straightforward
 versions of those stages: a full loop over the alphabet in `predict`, a
-tuple-keyed sort of every positive id in `_ranked`, and plain loops in
+tuple-keyed sort of every positive id in `select_kept`, and plain loops in
 `quantize` and `from_freqs`.
 The library versions must return the same values to the bit, and raise the
 same exception type wherever an oracle raises. Float masses are summed left
@@ -31,7 +31,6 @@ from hypothesis import strategies as st
 from rwc.coder import TOTAL, FrequencyTable, quantize
 from rwc.model import (
     BOS,
-    MAX_COUNT,
     Alphabet,
     ContextModel,
     Distribution,
@@ -43,7 +42,7 @@ from rwc.model import (
 from rwc.rewind import _PlanCache
 from rwc.selector import KeptSet, SelectorParams, full_support, select_kept
 
-from oracles import ALPHA_VALUES, check_kept, dense, make_kept
+from oracles import ALPHA_VALUES, check_kept, dense, histories, make_kept, models
 
 PARAMS = SelectorParams.default()
 
@@ -180,57 +179,58 @@ def assert_same_plan(model, history, lossless):
                           oracle_quantize, oracle_from_freqs)
 
 
-# --- models and histories ---------------------------------------------------
+# --- whole plans, predicted and cached ----------------------------------------
 
 
-@st.composite
-def models(draw):
-    n_glyphs = draw(st.integers(1, 6))
-    order = draw(st.integers(0, 3))
-    smoothing = draw(st.sampled_from([0.0, -0.0, 0.1, 1e12]))
-    ids = st.integers(0, n_glyphs)
-    count = st.one_of(st.integers(1, 9), st.integers(1, MAX_COUNT), st.just(MAX_COUNT))
-    row = st.dictionaries(st.integers(1, n_glyphs), count, min_size=1)
-    contexts = st.lists(ids, min_size=order, max_size=order).map(tuple)
-    table = draw(st.dictionaries(contexts, row, min_size=1, max_size=6))
-    alphabet = Alphabet(tuple(chr(0x41 + i) for i in range(n_glyphs)))
-    return ContextModel(alphabet, order, smoothing, table)
+def order0(n_glyphs, smoothing, row):
+    """An order-0 model over the glyphs A, B, ... with one count row."""
+    return ContextModel(Alphabet(tuple(chr(0x41 + i) for i in range(n_glyphs))), 0, smoothing,
+                        {(): row})
 
 
-@settings(max_examples=300)
-@given(models(), st.data(), st.booleans())
-def test_random_models_plan_identically(model, data, lossless):
-    n = model.alphabet.size
-    for _ in range(4):
-        history = data.draw(st.lists(st.integers(1, n - 1), max_size=6))
-        assert_same_plan(model, history, lossless)
-    for ctx in model.counts:
-        assert_same_plan(model, list(ctx), lossless)
+# The floor 1/9 of eight glyphs at smoothing 1 clears alpha times the kept mass
+# for four of the seven floor ids.
+FLOOR_KEPT_LOSSY = order0(8, 1.0, {3: 1})
+SWAMPED = order0(5, 2.0**60, {4: 3, 2: 1})
+PAST_2_53 = order0(3, 0.0, {1: 2**53 + 1, 2: 2**62 + 3})  # C is unseen: probability 0
+
+
+@settings(max_examples=400)
+@given(models(), st.data())
+def test_random_models_plan_identically(model, data):
+    for history in histories(model, data, 4):
+        for lossless in (False, True):
+            assert_same_plan(model, history, lossless)
+
+
+def test_predicted_plans_equal_the_oracle_plans():
+    """The hand-built models above, at their one context, both ways."""
+    for model in (order0(5, 0.5, {5: 2, 3: 7, 1: 2}), FLOOR_KEPT_LOSSY, SWAMPED, PAST_2_53):
+        for lossless in (False, True):
+            assert_same_plan(model, [], lossless)
 
 
 @settings(max_examples=300)
 @given(models(), st.data(), st.booleans())
 def test_cached_plans_equal_the_oracle_plans(model, data, lossless):
-    """The plan cache quantizes each distinct renorm once, the one-member
-    renorm (1.0,) included."""
+    """The plan cache gives each history the oracle's members, table and
+    index of each member."""
     plans = _PlanCache(model, PARAMS, lossless)
-    histories = [list(ctx) for ctx in model.counts]
-    histories += [data.draw(st.lists(st.integers(1, model.alphabet.size - 1), max_size=4))]
-    for history in histories:
+    for history in histories(model, data, 1):
         members, table, index_of = plans[context_key(model.order, history)]
         kept, want = plan(oracle_predict(model, history), lossless, oracle_select_kept,
                           oracle_full_support, oracle_quantize, oracle_from_freqs)
         assert (members, table.cum) == (kept.members, want.cum)
-        assert index_of == {sym: i for i, sym in enumerate(members)}
+        assert index_of == {sym: i for i, sym in enumerate(kept.members)}
 
 
-def assert_one_table_per_renorm(model, histories, lossless):
+def assert_one_table_per_renorm(model, lookups, lossless):
     """Within one cache, two plans hold the same `FrequencyTable` object
     exactly when the oracle's kept sets for them have equal renorms, and
     every one-member plan holds the table (0, TOTAL)."""
     plans = _PlanCache(model, PARAMS, lossless)
     seen = []
-    for history in histories:
+    for history in lookups:
         members, table, _ = plans[context_key(model.order, history)]
         kept, _ = plan(oracle_predict(model, history), lossless, oracle_select_kept,
                        oracle_full_support, oracle_quantize, oracle_from_freqs)
@@ -243,9 +243,7 @@ def assert_one_table_per_renorm(model, histories, lossless):
 @settings(max_examples=300)
 @given(models(), st.data(), st.booleans())
 def test_plans_share_a_table_exactly_when_their_renorms_are_equal(model, data, lossless):
-    histories = [list(ctx) for ctx in model.counts]
-    histories += [data.draw(st.lists(st.integers(1, model.alphabet.size - 1), max_size=4))]
-    assert_one_table_per_renorm(model, histories, lossless)
+    assert_one_table_per_renorm(model, histories(model, data, 1), lossless)
 
 
 # (1,) and (2,) keep the same members with other renorms; (1,) and (3,) keep
@@ -271,59 +269,6 @@ def test_counts_past_two_to_the_53_divide_exactly():
     assert predict(m, []).probs[1] != (2**53 + 1 + 0.0) / (2**53 + 2**62 + 4)
 
 
-# --- whole plans from the row and the floor ----------------------------------
-
-# 2**60 swamps any count up to 9 (c + beta == beta), so those seen ids tie with
-# the floor and stay out of the row; 5e-324 rounds the floor itself to 0, so
-# unseen ids drop out. A model file can carry -0.0, which must predict exactly as 0.0.
-ROW_SMOOTHINGS = [0.0, -0.0, 0.1, 1.0, 1e12, 2.0**60, 5e-324]
-
-
-@st.composite
-def row_models(draw):
-    n_glyphs = draw(st.integers(1, 6))
-    order = draw(st.integers(0, 2))
-    smoothing = draw(st.sampled_from(ROW_SMOOTHINGS))
-    sym = st.integers(1, n_glyphs)
-    count = st.one_of(st.integers(1, 9), st.integers(1, MAX_COUNT), st.just(MAX_COUNT))
-    row = st.one_of(
-        st.dictionaries(sym, count, min_size=1, max_size=1),
-        st.dictionaries(sym, count, min_size=1),
-        st.fixed_dictionaries({s: count for s in range(1, n_glyphs + 1)}),
-    )
-    contexts = st.lists(st.integers(0, n_glyphs), min_size=order, max_size=order).map(tuple)
-    table = draw(st.dictionaries(contexts, row, min_size=1, max_size=6))
-    alphabet = Alphabet(tuple(chr(0x41 + i) for i in range(n_glyphs)))
-    return ContextModel(alphabet, order, smoothing, table)
-
-
-def order0(n_glyphs, smoothing, row):
-    """An order-0 model over the glyphs A, B, ... with one count row."""
-    return ContextModel(Alphabet(tuple(chr(0x41 + i) for i in range(n_glyphs))), 0, smoothing,
-                        {(): row})
-
-
-# The floor 1/9 of eight glyphs at smoothing 1 clears alpha times the kept mass
-# for four of the seven floor ids.
-FLOOR_KEPT_LOSSY = order0(8, 1.0, {3: 1})
-SWAMPED = order0(5, 2.0**60, {4: 3, 2: 1})
-PAST_2_53 = order0(3, 0.0, {1: 2**53 + 1, 2: 2**62 + 3})  # C is unseen: probability 0
-
-
-@settings(max_examples=400)
-@given(row_models(), st.lists(st.integers(1, 6), max_size=4))
-@example(order0(5, 0.5, {5: 2, 3: 7, 1: 2}), [])
-@example(FLOOR_KEPT_LOSSY, [])
-@example(SWAMPED, [])
-@example(PAST_2_53, [])
-def test_predicted_plans_equal_the_oracle_plans(model, history):
-    n = model.alphabet.size
-    for lossless in (False, True):
-        assert_same_plan(model, [1 + s % (n - 1) for s in history], lossless)
-        for ctx in model.counts:
-            assert_same_plan(model, list(ctx), lossless)
-
-
 def test_seen_ids_swamped_by_smoothing_rank_in_the_tail():
     # c + beta == beta for both seen ids, so all five ids tie at the floor and
     # the ranking is ascending id, the same as the dense stable sort.
@@ -346,20 +291,6 @@ def test_floor_ids_are_kept_in_ascending_order():
     assert (dist.row, dist.floor) == ({3: 2 / 9}, 1 / 9)
     assert select_kept(dist, PARAMS).members == (3, 1, 2, 4, 5)
     assert_same_plan(FLOOR_KEPT_LOSSY, [], lossless=False)
-
-
-@settings(max_examples=300)
-@given(st.one_of(models(), row_models()), st.data())
-def test_predicted_kept_sets_hold_their_invariants(model, data):
-    """Every kept set selected from a prediction, lossless or at any alpha,
-    passes `check_kept`: `select_kept` holds its invariants by construction."""
-    histories = [list(ctx) for ctx in model.counts]
-    histories += [data.draw(st.lists(st.integers(1, model.alphabet.size - 1), max_size=4))]
-    for history in histories:
-        dist = predict(model, history)
-        check_kept(full_support(dist))
-        for alpha in ALPHA_VALUES:
-            check_kept(select_kept(dist, SelectorParams(alpha=alpha)))
 
 
 # --- hand-built distributions -----------------------------------------------
@@ -391,14 +322,26 @@ def test_hand_built_distributions_rank_identically(probs, lossless, alpha):
         assert outcome(select_kept, dist, params) == outcome(oracle_select_kept, dist, params)
 
 
-@settings(max_examples=200)
-@given(row_models(), st.data(), ALPHAS)
-def test_predicted_distributions_select_as_the_oracle_at_any_alpha(model, data, alpha):
-    params = SelectorParams(alpha=alpha)
-    n = model.alphabet.size
-    for _ in range(3):
-        dist = predict(model, data.draw(st.lists(st.integers(1, n - 1), max_size=4)))
-        assert outcome(select_kept, dist, params) == outcome(oracle_select_kept, dist, params)
+@settings(max_examples=300)
+@given(models(), st.data())
+def test_predicted_distributions_select_as_the_oracle_at_any_alpha(model, data):
+    for history in histories(model, data, 3):
+        dist = predict(model, history)
+        for alpha in ALPHA_VALUES:
+            params = SelectorParams(alpha=alpha)
+            assert outcome(select_kept, dist, params) == outcome(oracle_select_kept, dist, params)
+
+
+@settings(max_examples=300)
+@given(models(), st.data())
+def test_predicted_kept_sets_hold_their_invariants(model, data):
+    """Every kept set selected from a prediction, lossless or at any alpha,
+    passes `check_kept`: `select_kept` holds its invariants by construction."""
+    for history in histories(model, data, 1):
+        dist = predict(model, history)
+        check_kept(full_support(dist))
+        for alpha in ALPHA_VALUES:
+            check_kept(select_kept(dist, SelectorParams(alpha=alpha)))
 
 
 # --- quantize and frequency tables ------------------------------------------

@@ -4,14 +4,15 @@
 one position to the next. The oracle below is the earlier walk: it appends
 every symbol to a history list and cuts the context from that list at each
 step. Both must give the same hints, the same kept/skipped counts, and the
-same guess at every position, for any model, text, payload and `lossless`.
-The oracle's session is also the earlier two-call step (`reveal` through
-`next_guess`), against which the one-frame `reveal` must leave the coder in
-the same state after every reveal. A refused reveal, and a `next_guess`,
-must leave the session exactly as it was. `decode_text` runs a
-`DecoderSession` that takes each guess as the truth: it must give what the
-oracle's session gives when each guess is revealed as the truth, and decode
-each position once.
+same guess at every position, for any model that `oracles.models` draws,
+any text, payload and `lossless`. The oracle's session is also the earlier
+two-call step (`reveal` through `next_guess`), against which the one-frame
+`reveal` must leave the coder in the same state after every reveal. A
+refused reveal, and a `next_guess`, must leave the session exactly as it
+was, and that guess must be the next reveal's.
+`decode_text` runs a `DecoderSession` that takes each guess as the truth:
+it must give what the oracle's session gives when each guess is revealed as
+the truth, and decode each position once.
 """
 
 from operator import ne
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwc.coder import Decoder, Encoder, FrequencyTable, quantize
-from rwc.model import Alphabet, ContextModel, UnknownCharacterError, context_key, predict
+from rwc.model import UnknownCharacterError, context_key, predict
 from rwc.rewind import (
     DecoderSession,
     HintsFile,
@@ -31,6 +32,8 @@ from rwc.rewind import (
     run_trace,
 )
 from rwc.selector import SelectorParams, full_support, select_kept
+
+from oracles import models
 
 PARAMS = SelectorParams.default()
 
@@ -124,19 +127,6 @@ def oracle_decode_text(model, params, payload, n, lossless):
 # --- comparison -------------------------------------------------------------
 
 
-@st.composite
-def models(draw):
-    n_glyphs = draw(st.integers(1, 4))
-    order = draw(st.integers(0, 3))
-    smoothing = draw(st.sampled_from([0.0, 0.1]))
-    ids = st.integers(0, n_glyphs)
-    row = st.dictionaries(st.integers(1, n_glyphs), st.integers(1, 50), min_size=1)
-    contexts = st.lists(ids, min_size=order, max_size=order).map(tuple)
-    table = draw(st.dictionaries(contexts, row, min_size=1, max_size=6))
-    alphabet = Alphabet(tuple(chr(0x41 + i) for i in range(n_glyphs)))
-    return ContextModel(alphabet, order, smoothing, table)
-
-
 @settings(max_examples=400)
 @given(models(), st.data(), st.binary(max_size=6), st.booleans())
 def test_walk_matches_the_history_walk(model, data, foreign, lossless):
@@ -150,10 +140,7 @@ def test_walk_matches_the_history_walk(model, data, foreign, lossless):
         oracle = oracle_steps(model, PARAMS, payload, text, lossless)
         rewound = map(ne, trace.guesses, trace.decoded)
         assert list(zip(trace.guesses, trace.decoded, rewound)) == oracle
-        errors = sum(rewound for _, _, rewound in oracle)
-        assert trace.guesses == "".join(guessed for guessed, _, _ in oracle)
-        assert trace.decoded == text
-        assert trace.errors == errors
+        assert trace.errors == sum(rewound for _, _, rewound in oracle)
         assert decode_text(model, PARAMS, HintsFile(payload), len(text), lossless=lossless) == (
             oracle_decode_text(model, PARAMS, payload, len(text), lossless)
         )
