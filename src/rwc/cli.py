@@ -5,9 +5,9 @@ The threshold alpha is fixed by the 2L+E objective, so no subcommand takes a
 tolerance and encode and decode always agree on it. Text I/O is raw UTF-8
 with no newline normalization; file writes go through a temp file and
 rename. Exit codes: 0 success, 1 generic failure, 2 missing file or an
-argument that argparse rejects (missing, unknown or ill-typed), 3 malformed
-model file, 4 character outside the model alphabet. Decode errors are data,
-not failures, and exit 0.
+argument that argparse rejects (missing, unknown, ill-typed or conflicting),
+3 malformed model file, 4 character outside the model alphabet. Decode
+errors are data, not failures, and exit 0.
 """
 
 from __future__ import annotations
@@ -112,18 +112,9 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _size(number: int | None, path: str | None, flags: str) -> int | None:
-    """`number`, or the size of the file at `path`; giving both is an error."""
-    if number is not None and path is not None:
-        raise ValueError(f"give {flags}, not both")
-    return number if path is None else len(_read_bytes(path))
-
-
 def cmd_score(args) -> int:
-    hint_bytes = _size(args.hint_bytes, args.hints, "--hint-bytes or --hints")
-    if hint_bytes is None:
-        raise ValueError("give --hint-bytes or --hints")
-    model_bytes = _size(args.model_bytes, args.model, "--model-bytes or --model")
+    hint_bytes = args.hint_bytes if args.hints is None else len(_read_bytes(args.hints))
+    model_bytes = args.model_bytes if args.model is None else len(_read_bytes(args.model))
     report = ScoreReport(hint_bytes=hint_bytes, errors=args.errors, model_bytes=model_bytes)
     print(report.summary_line())
     if report.score_with_model is not None:
@@ -205,11 +196,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("score", help="compute 2L+E from explicit counts or files")
-    p.add_argument("-L", "--hint-bytes", type=int)
+    length = p.add_mutually_exclusive_group(required=True)  # each value from a number or a file
+    length.add_argument("-L", "--hint-bytes", type=int)
+    length.add_argument("--hints", help="hints file to measure for L")
     p.add_argument("-E", "--errors", type=int, required=True)
-    p.add_argument("--hints", help="hints file to measure for L")
-    p.add_argument("--model", help="model file to measure for score_with_model")
-    p.add_argument("--model-bytes", type=int, help="model size for score_with_model")
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--model", help="model file to measure for score_with_model")
+    size.add_argument("--model-bytes", type=int, help="model size for score_with_model")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("eval", help="encode, decode, and score a text in one step")

@@ -295,8 +295,8 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
     floor that every unseen id gets (beta/total, or 0 without smoothing), so
     only those that do are kept, in the returned distribution's `row`.
     A `str` history is refused: its characters would match no context, and so
-    is a context id outside the alphabet, checked only when the lookup misses.
-    The lower orders' tables are read, and so derived, only when it misses.
+    is a context id that is not an int id of the alphabet. That check, and the
+    read of the lower orders' tables, which derives them, come only on a miss.
     """
     j, key = model.order, history
     if type(key) is not tuple or len(key) != j:  # the plan cache passes the context itself
@@ -307,7 +307,7 @@ def predict(model: ContextModel, history: Sequence[int]) -> Distribution:
     counts = model.counts.get(key)
     if counts is None:  # a hit needs no check: every trained context is valid
         for sym in key:
-            if not 0 <= sym < n:
+            if not 0 <= sym < n or type(sym) is not int:
                 raise ValueError(f"symbol id {sym} outside alphabet")
         tables = model.tables
         while counts is None:  # back off: drop the oldest id; rows are never empty

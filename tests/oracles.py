@@ -7,18 +7,20 @@ at any threshold in `ALPHA_VALUES`, holds by construction.
 `brute_force_kept` is the exhaustive selection oracle, `validate` checks
 that a distribution is a probability distribution, and `uniform_byte_model`
 is the order-0 model of uniformly random bytes. `models` draws a small
-hand-built model for the differential suites, and `histories` gives each
-context of its count table and some drawn histories. `oracle_glyph_fault` and
-`oracle_tables` check glyphs and a count table entry by entry, as
-`Alphabet` and `ContextModel` did before they checked in bulk.
+hand-built model, over the glyphs A-F or any Unicode, for every suite that
+needs one, and `histories` gives each context of its count table and some
+drawn histories. `oracle_glyph_fault` and `oracle_tables` check glyphs and
+a count table entry by entry, as `Alphabet` and `ContextModel` did before
+they checked in bulk.
 `model_columns` lists an RWC6 file's nodes one at a time from a FIFO
 queue, `model_body` writes its columns entry by entry, with any widths,
 each in byte planes, and `model_file` writes the RWC6 file that holds them
 deflated. They are the tests' only model-file writer: a retired format is
 tested by its version byte alone. `file_counts` reads an RWC6 file's node
 and root counts.
-`oracle_train` counts a corpus one character at a time, as `train` did
-before it tallied windows in bulk. `compress_bound` is zlib's
+`oracle_train` is the one counting oracle: it counts every order of a
+corpus on its own at each position, where `train` tallies the order-k
+windows in bulk and derives the lower orders. `compress_bound` is zlib's
 `compressBound`, the longest a zlib stream of that many bytes can be.
 """
 
@@ -26,7 +28,7 @@ import math
 import struct
 import zlib
 from collections import deque
-from functools import reduce
+from functools import cache, reduce
 from operator import add
 
 from hypothesis import strategies as st
@@ -124,25 +126,37 @@ def uniform_byte_model() -> ContextModel:
 SMOOTHINGS = [0.0, -0.0, 0.1, 1.0, 1e12, 2.0**60, 5e-324]
 
 
+COUNTS = st.one_of(st.integers(1, 9), st.integers(1, MAX_COUNT), st.just(MAX_COUNT))
+
+
+@cache
+def _tables(n_glyphs: int, order: int):
+    """`models`' count-table strategy at one alphabet size and order, built
+    once per pair rather than at every draw, which takes about a third off
+    the time to draw a model."""
+    sym = st.integers(1, n_glyphs)
+    row = st.one_of(
+        st.dictionaries(sym, COUNTS, min_size=1, max_size=1),
+        st.dictionaries(sym, COUNTS, min_size=1),
+        st.fixed_dictionaries({s: COUNTS for s in range(1, n_glyphs + 1)}),
+    )
+    contexts = st.tuples(*[st.integers(0, n_glyphs)] * order)
+    return st.dictionaries(contexts, row, min_size=1, max_size=6)
+
+
 @st.composite
 def models(draw) -> ContextModel:
-    """A hand-built model over the glyphs A, B, ...: 1-6 glyphs, order 0-3,
-    1-6 contexts of any ids, and rows of one entry, any size or every glyph,
-    with counts of 1-9, up to MAX_COUNT, or MAX_COUNT."""
-    n_glyphs = draw(st.integers(1, 6))
-    order = draw(st.integers(0, 3))
-    smoothing = draw(st.sampled_from(SMOOTHINGS))
-    sym = st.integers(1, n_glyphs)
-    count = st.one_of(st.integers(1, 9), st.integers(1, MAX_COUNT), st.just(MAX_COUNT))
-    row = st.one_of(
-        st.dictionaries(sym, count, min_size=1, max_size=1),
-        st.dictionaries(sym, count, min_size=1),
-        st.fixed_dictionaries({s: count for s in range(1, n_glyphs + 1)}),
-    )
-    contexts = st.lists(st.integers(0, n_glyphs), min_size=order, max_size=order).map(tuple)
-    table = draw(st.dictionaries(contexts, row, min_size=1, max_size=6))
-    alphabet = Alphabet(tuple(chr(0x41 + i) for i in range(n_glyphs)))
-    return ContextModel(alphabet, order, smoothing, table)
+    """A hand-built model: 1-6 glyphs A, B, ... or 1-8 glyphs from anywhere
+    in Unicode but the surrogates, order 0..MAX_ORDER, smoothing from
+    SMOOTHINGS or up to 1e6, 1-6 contexts of any ids, and rows of one entry,
+    any size or every glyph, with counts of 1-9, up to MAX_COUNT, or MAX_COUNT."""
+    glyphs = draw(st.one_of(
+        st.integers(1, 6).map(lambda n: tuple(chr(0x41 + i) for i in range(n))),
+        st.lists(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8, unique=True),
+    ))
+    order = draw(st.integers(0, MAX_ORDER))
+    smoothing = draw(st.one_of(st.sampled_from(SMOOTHINGS), st.floats(0.0, 1e6)))
+    return ContextModel(Alphabet(tuple(glyphs)), order, smoothing, draw(_tables(len(glyphs), order)))
 
 
 def histories(model: ContextModel, data, count: int) -> list[list[int]]:
@@ -194,25 +208,22 @@ def oracle_tables(n: int, k: int, counts: dict) -> list[dict]:
     return tables
 
 
-def oracle_train(corpus: str, order: int, smoothing: float, alphabet: Alphabet | None = None):
-    """`train`'s model, counted one character at a time: a context rolls
-    along the BOS-padded corpus, and each context and each symbol of a row
-    is inserted where the scan first meets it."""
-    if not corpus:
-        raise ValueError("empty corpus")
-    if not 0 <= order <= MAX_ORDER:
-        raise ValueError(f"order {order} is not in 0..{MAX_ORDER}")
+def oracle_train(corpus: str, order: int, alphabet: Alphabet | None = None):
+    """`train`'s alphabet and its table of each order 0..`order`, every order
+    counted on its own: at each position of the BOS-padded corpus, the
+    symbol is counted in the row of the j ids before it, for every j, and
+    each context and each symbol of a row is inserted where the scan first
+    meets it. No table is derived from another."""
     if alphabet is None:
         alphabet = build_alphabet(corpus)
-    counts = {}
-    ctx = (BOS,) * order
-    for sym in alphabet.encode(corpus):
-        row = counts.get(ctx)
-        if row is None:
-            row = counts[ctx] = {}
-        row[sym] = row.get(sym, 0) + 1
-        ctx = (ctx + (sym,))[1:]
-    return ContextModel(alphabet, order, smoothing, counts)
+    padded = [BOS] * order + alphabet.encode(corpus)
+    tables = [{} for _ in range(order + 1)]
+    for i in range(order, len(padded)):
+        sym = padded[i]
+        for j, table in enumerate(tables):
+            row = table.setdefault(tuple(padded[i - j : i]), {})
+            row[sym] = row.get(sym, 0) + 1
+    return alphabet, tables
 
 
 def _planes(columns, widths):

@@ -458,9 +458,12 @@ class TestScoreEval:
         assert out.splitlines() == ["L=1 E=4 score=6", "score_with_model=206"]
 
     def test_score_requires_some_length(self, capsys):
-        code, _, err = run(capsys, "score", "-E", "1")
-        assert code == 1
-        assert "hint-bytes" in err or "hints" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "-E", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: one of the arguments -L/--hint-bytes --hints is required\n"
+        )
 
     @pytest.mark.parametrize(
         "flags",
@@ -472,12 +475,15 @@ class TestScoreEval:
         ],
     )
     def test_score_refuses_a_number_and_a_file_for_one_value(self, tmp_path, capsys, flags):
+        # argparse refuses the pair before any file is read, a missing one too
         (tmp_path / "h").write_bytes(b"\x77" * 6)
         argv = [str(tmp_path / f) if f in ("h", "missing") else f for f in flags]
-        code, out, err = run(capsys, "score", "-E", "1", *argv)
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "-E", "1", *argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: give ") and err.endswith(", not both\n")
+        assert err.startswith("usage: rwc score") and " not allowed with argument " in err
 
     def test_eval_first_line_is_the_summary(self, chain_files, capsys):
         _, model, text = chain_files

@@ -9,7 +9,8 @@ named by a script, the benchmark or README.md: a name that only the
 package's own modules or the tests use stays importable from its module but
 is not exported, so the export list cannot grow a second form of a fact.
 No module binds a mutable container at top level, so the package keeps no
-process-wide state such as a memo.
+process-wide state such as a memo. And every module-level helper of the
+tests is named by some test, so a consolidation leaves no dead oracle.
 """
 
 import ast
@@ -49,6 +50,33 @@ def test_absolute_imports_are_stdlib(path):
             modules.append(node.module)
     foreign = [m for m in modules if m.partition(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_every_test_helper_is_named_in_the_tests():
+    # pytest calls the `test*` functions and `Test*` classes itself, and a
+    # fixture is named as a parameter. Any other module-level function, class
+    # or constant that no test names is dead, such as an oracle left behind.
+    trees = {path.name: parse(path) for path in TESTS}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.arg):
+                used.add(node.arg)
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            dead += [(name, d) for d in defined if not d.startswith(("test", "Test")) and d not in used]
+    assert dead == []
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"] + TESTS + SCRIPTS,

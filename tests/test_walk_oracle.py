@@ -36,6 +36,7 @@ from rwc.selector import SelectorParams, full_support, select_kept
 from oracles import models
 
 PARAMS = SelectorParams.default()
+NOT_A_GLYPH = "\udfff"  # no alphabet holds a surrogate
 
 
 # --- the oracle -------------------------------------------------------------
@@ -149,8 +150,8 @@ def test_walk_matches_the_history_walk(model, data, foreign, lossless):
     for ch in text:
         session.reveal(ch)
     with pytest.raises(UnknownCharacterError) as exc:
-        session.reveal("?")
-    assert (exc.value.char, exc.value.position) == ("?", len(text))
+        session.reveal(NOT_A_GLYPH)
+    assert (exc.value.char, exc.value.position) == (NOT_A_GLYPH, len(text))
 
 
 @settings(max_examples=300)
@@ -170,7 +171,7 @@ def test_each_reveal_leaves_the_oracle_session_state(model, data, foreign, lossl
                 before = session._decoder.checkpoint()
                 for _ in range(2):  # refused before any decode, so it changes nothing
                     with pytest.raises(UnknownCharacterError) as exc:
-                        session.reveal("?")
+                        session.reveal(NOT_A_GLYPH)
                     assert exc.value.position == position
                     assert session._decoder.checkpoint() == before
                 assert session.next_guess() == oracle.next_guess()
